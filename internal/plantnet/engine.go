@@ -352,13 +352,13 @@ func (req *request) bind() {
 	req.exDone = func() {
 		req.rep.ex.Release()
 		e.rec(req, 4) // extract
-		req.rep.cpu.Add(e.cal.ProcessWork.Sample(e.rng), 1, req.procDone)
+		req.rep.cpu.Add(e.cal.ProcessWork.Sample(e.rng), req.procDone)
 	}
 	req.ssGranted = func() { e.simsearch(req) }
 	req.ssIODone = func() {
 		req.rep.ss.Release()
 		e.rec(req, 7) // simsearch
-		req.rep.cpu.Add(e.cal.PostProcessWork.Sample(e.rng), 1, req.postDone)
+		req.rep.cpu.Add(e.cal.PostProcessWork.Sample(e.rng), req.postDone)
 	}
 	req.ssCPUDone = func() {
 		req.timer = e.sim.Schedule(e.cal.SimsearchIOTime.Sample(e.rng), req.ssIODone)
@@ -1056,7 +1056,7 @@ func (e *engine) preProcess(req *request) {
 	// HTTP slot acquired; queueing before this point is part of the user
 	// response time but not a Table I step.
 	req.taskStart = e.sim.Now()
-	req.rep.cpu.Add(e.cal.PreProcessWork.Sample(e.rng), 1, req.preDone)
+	req.rep.cpu.Add(e.cal.PreProcessWork.Sample(e.rng), req.preDone)
 }
 
 func (e *engine) download(req *request) {
@@ -1067,12 +1067,12 @@ func (e *engine) download(req *request) {
 
 func (e *engine) extract(req *request) {
 	e.rec(req, 3) // wait-extract
-	req.rep.gpu.Add(e.cal.ExtractWork.Sample(e.rng), 1, req.exDone)
+	req.rep.gpu.Add(e.cal.ExtractWork.Sample(e.rng), req.exDone)
 }
 
 func (e *engine) simsearch(req *request) {
 	e.rec(req, 6) // wait-simsearch
-	req.rep.cpu.Add(e.cal.SimsearchCPUWork.Sample(e.rng), 1, req.ssCPUDone)
+	req.rep.cpu.Add(e.cal.SimsearchCPUWork.Sample(e.rng), req.ssCPUDone)
 }
 
 func (e *engine) complete(req *request) {

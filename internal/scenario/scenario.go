@@ -118,7 +118,8 @@ type Scenario struct {
 	Resilience *resilience.Policy `json:"resilience,omitempty"`
 
 	// UploadBytes / ResponseBytes size the request payloads crossing the
-	// network (defaults: 1.2 MB photo up, 50 KB identification down).
+	// network (0 = defaults: 1.2 MB photo up, 50 KB identification down;
+	// negative or non-finite sizes fail Validate).
 	UploadBytes   float64 `json:"upload_bytes,omitempty"`
 	ResponseBytes float64 `json:"response_bytes,omitempty"`
 
@@ -160,13 +161,14 @@ func (s Scenario) withDefaults() Scenario {
 			s.Gateways[i].Cluster = "chiclet"
 		}
 	}
-	if s.UploadBytes <= 0 {
+	// Negative and non-finite values are left for Validate to reject.
+	if s.UploadBytes == 0 {
 		s.UploadBytes = 1.2e6
 	}
-	if s.ResponseBytes <= 0 {
+	if s.ResponseBytes == 0 {
 		s.ResponseBytes = 5e4
 	}
-	if s.DurationSeconds <= 0 {
+	if s.DurationSeconds == 0 {
 		s.DurationSeconds = 300
 	}
 	if s.Repeats <= 0 {
@@ -180,6 +182,14 @@ func (s Scenario) withDefaults() Scenario {
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: needs a name")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"upload_bytes", s.UploadBytes}, {"response_bytes", s.ResponseBytes}, {"duration_seconds", s.DurationSeconds}} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario %q: %s must be finite and non-negative (0 = default), got %v", s.Name, f.name, f.v)
+		}
 	}
 	d := s.withDefaults()
 	if d.EngineLayer != "cloud" && d.EngineLayer != "fog" {
@@ -667,6 +677,9 @@ func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
 		}
 		thrSec += rep.Throughput * pr.duration
 		elapsed += pr.duration
+	}
+	if completed == 0 {
+		return nil, fmt.Errorf("scenario %q: no request completed (%d failed, %d arrivals dropped)", d.Name, failed, dropped)
 	}
 	// Fewer than two samples would leave NaNs (StdDev) in the Result,
 	// which the JSON checkpoint cannot represent.

@@ -67,7 +67,7 @@ func (s Suite) resolved() ([]Scenario, error) {
 	out := make([]Scenario, len(s.Scenarios))
 	seen := make(map[string]bool, len(s.Scenarios))
 	for i, sc := range s.Scenarios {
-		if sc.DurationSeconds <= 0 {
+		if sc.DurationSeconds == 0 {
 			sc.DurationSeconds = s.DurationSeconds
 		}
 		if sc.Repeats <= 0 {

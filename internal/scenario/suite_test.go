@@ -242,6 +242,67 @@ func TestSuiteUnreachableScenarioFails(t *testing.T) {
 	}
 }
 
+// TestScenarioValidateRejectsBadSizes: payload sizes and the duration
+// must be finite and non-negative; 0 still selects the default.
+func TestScenarioValidateRejectsBadSizes(t *testing.T) {
+	base := Scenario{
+		Name:     "sizes",
+		Gateways: []GatewayClass{{Name: "g", Count: 2, DelayMS: 2, RateGbps: 1}},
+	}
+	for _, tc := range []struct {
+		name  string
+		set   func(*Scenario)
+		valid bool
+	}{
+		{"defaults", func(*Scenario) {}, true},
+		{"explicit sizes", func(s *Scenario) { s.UploadBytes, s.ResponseBytes, s.DurationSeconds = 1e5, 1e3, 30 }, true},
+		{"negative upload", func(s *Scenario) { s.UploadBytes = -1 }, false},
+		{"NaN upload", func(s *Scenario) { s.UploadBytes = math.NaN() }, false},
+		{"infinite upload", func(s *Scenario) { s.UploadBytes = math.Inf(1) }, false},
+		{"negative response", func(s *Scenario) { s.ResponseBytes = -5e4 }, false},
+		{"NaN response", func(s *Scenario) { s.ResponseBytes = math.NaN() }, false},
+		{"infinite response", func(s *Scenario) { s.ResponseBytes = math.Inf(-1) }, false},
+		{"negative duration", func(s *Scenario) { s.DurationSeconds = -60 }, false},
+		{"NaN duration", func(s *Scenario) { s.DurationSeconds = math.NaN() }, false},
+		{"infinite duration", func(s *Scenario) { s.DurationSeconds = math.Inf(1) }, false},
+	} {
+		sc := base
+		tc.set(&sc)
+		err := sc.Validate()
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: Validate() = %v, want valid=%v", tc.name, err, tc.valid)
+		}
+		if tc.valid {
+			continue
+		}
+		// A suite does not paper over the bad value with its own default.
+		s := Suite{Name: "bad", DurationSeconds: 60, Scenarios: []Scenario{sc}}
+		if _, err := s.resolved(); err == nil {
+			t.Errorf("%s: suite resolved the invalid scenario", tc.name)
+		}
+	}
+}
+
+// TestScenarioNothingCompletedNamesCause: a 1 bit/s uplink completes no
+// request within the run, and the error says so with the failure counts
+// rather than blaming the duration.
+func TestScenarioNothingCompletedNamesCause(t *testing.T) {
+	sc := Scenario{
+		Name:            "trickle-uplink",
+		NetworkModel:    "simulated",
+		Gateways:        []GatewayClass{{Name: "g", Count: 2, DelayMS: 10, RateGbps: 1e-9}},
+		DurationSeconds: 60,
+	}
+	_, err := sc.Run(1, 1)
+	if err == nil {
+		t.Fatal("scenario with a 1 bit/s uplink ran successfully")
+	}
+	want := `scenario "trickle-uplink": no request completed (0 failed, 0 arrivals dropped)`
+	if err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+}
+
 func TestScenarioDeploymentLowersToConfig(t *testing.T) {
 	sc := PaperScenario()
 	cfg, err := sc.Deployment()

@@ -58,12 +58,12 @@ func TestZeroAllocSharedJobChurn(t *testing.T) {
 	cpu := NewCPU(e, 4)
 	done := func() {}
 	for i := 0; i < 64; i++ {
-		cpu.Add(1, 1, done)
+		cpu.Add(1, done)
 	}
 	e.Run(1e6)
 	requireZeroAllocs(t, "sharedJob churn", func() {
 		for i := 0; i < 8; i++ {
-			cpu.Add(0.5, 1, done)
+			cpu.Add(0.5, done)
 		}
 		e.Run(e.Now() + 100)
 	})
@@ -75,7 +75,7 @@ func TestZeroAllocLinkTransfer(t *testing.T) {
 	lossy := NewLink(e, 0.003, 1e7, 20, rng) // bounded pipe + retransmission path
 	pure := NewLink(e, 0.001, 0, 0, rng)     // unlimited-rate, delay-only path
 	done := func() {}
-	// Warm the transfer freelists, the pipe's job freelist, and the calendar.
+	// Warm the transfer freelists, the pipe's job slice, and the calendar.
 	for i := 0; i < 64; i++ {
 		lossy.Transfer(1e5, done)
 		pure.Transfer(1e5, done)
@@ -96,7 +96,7 @@ func TestZeroAllocEngineReset(t *testing.T) {
 	done := func() {}
 	for i := 0; i < 64; i++ {
 		e.Schedule(float64(i)*0.3, nopFn)
-		cpu.Add(1, 1, done)
+		cpu.Add(1, done)
 	}
 	e.Run(1e6)
 	requireZeroAllocs(t, "Engine/SharedResource reset churn", func() {
@@ -104,7 +104,7 @@ func TestZeroAllocEngineReset(t *testing.T) {
 		cpu.Reset(cpu.MaxRate, nil)
 		for i := 0; i < 8; i++ {
 			e.Schedule(float64(i)*0.3, nopFn)
-			cpu.Add(0.5, 1, done)
+			cpu.Add(0.5, done)
 		}
 		e.Run(1e6)
 	})
@@ -172,14 +172,14 @@ func TestZeroAllocCrashChurn(t *testing.T) {
 	p := NewPool(e, "x", 2)
 	done := func() {}
 	for i := 0; i < 16; i++ {
-		cpu.Add(1, 1, done)
+		cpu.Add(1, done)
 		p.Request(nopFn)
 		p.Crash()
 	}
 	e.Run(1e6)
 	requireZeroAllocs(t, "crash/recovery churn", func() {
 		for i := 0; i < 4; i++ {
-			cpu.Add(5, 1, done)
+			cpu.Add(5, done)
 			p.Request(nopFn) // slot held until the crash wipes it
 		}
 		cpu.AddHold(1.5)

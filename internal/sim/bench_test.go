@@ -31,7 +31,7 @@ func BenchmarkProcessorSharing(b *testing.B) {
 	done := 0
 	var spawn func()
 	spawn = func() {
-		cpu.Add(1, 1, func() {
+		cpu.Add(1, func() {
 			done++
 			if done < b.N {
 				spawn()

@@ -182,7 +182,7 @@ func TestSharedResourceSingleJob(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 4)
 	var doneAt float64
-	cpu.Add(2, 1, func() { doneAt = e.Now() }) // 2 units of work at rate 1
+	cpu.Add(2, func() { doneAt = e.Now() }) // 2 units of work at rate 1
 	e.Run(100)
 	if math.Abs(doneAt-2) > 1e-9 {
 		t.Errorf("single job done at %v, want 2", doneAt)
@@ -194,8 +194,8 @@ func TestSharedResourceProcessorSharing(t *testing.T) {
 	cpu := NewCPU(e, 1) // 1 core
 	var at []float64
 	// Two equal jobs of 1s of work share the core: both finish at t=2.
-	cpu.Add(1, 1, func() { at = append(at, e.Now()) })
-	cpu.Add(1, 1, func() { at = append(at, e.Now()) })
+	cpu.Add(1, func() { at = append(at, e.Now()) })
+	cpu.Add(1, func() { at = append(at, e.Now()) })
 	e.Run(100)
 	if len(at) != 2 || math.Abs(at[0]-2) > 1e-9 || math.Abs(at[1]-2) > 1e-9 {
 		t.Errorf("completion times = %v, want [2 2]", at)
@@ -206,8 +206,8 @@ func TestSharedResourceUnequalArrival(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 1)
 	var a, b float64
-	cpu.Add(1, 1, func() { a = e.Now() })
-	e.Schedule(0.5, func() { cpu.Add(1, 1, func() { b = e.Now() }) })
+	cpu.Add(1, func() { a = e.Now() })
+	e.Schedule(0.5, func() { cpu.Add(1, func() { b = e.Now() }) })
 	e.Run(100)
 	// Job A: runs alone [0,0.5] (0.5 done), shares [0.5,1.5] (0.5 done) -> 1.5.
 	// Job B: shares [0.5,1.5] (0.5 done), runs alone [1.5,2.0] -> 2.0.
@@ -216,26 +216,12 @@ func TestSharedResourceUnequalArrival(t *testing.T) {
 	}
 }
 
-func TestSharedResourceWeights(t *testing.T) {
-	e := NewEngine()
-	cpu := NewCPU(e, 1)
-	var heavy, light float64
-	cpu.Add(1, 3, func() { heavy = e.Now() }) // gets 3/4 of the core
-	cpu.Add(1, 1, func() { light = e.Now() }) // gets 1/4
-	e.Run(100)
-	// heavy finishes 1/(3/4) = 4/3; then light has 1 - (4/3)*(1/4) = 2/3
-	// remaining at full rate -> 4/3 + 2/3 = 2.
-	if math.Abs(heavy-4.0/3) > 1e-9 || math.Abs(light-2) > 1e-9 {
-		t.Errorf("heavy=%v light=%v, want 1.333, 2", heavy, light)
-	}
-}
-
 func TestSharedResourceBelowSaturationNoSlowdown(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 8)
 	var done []float64
 	for i := 0; i < 4; i++ {
-		cpu.Add(1, 1, func() { done = append(done, e.Now()) })
+		cpu.Add(1, func() { done = append(done, e.Now()) })
 	}
 	e.Run(100)
 	for _, d := range done {
@@ -253,7 +239,7 @@ func TestGPUSaturation(t *testing.T) {
 	// all finish at t=2. Throughput is capped, latency doubles.
 	n := 0
 	for i := 0; i < 12; i++ {
-		gpu.Add(1, 1, func() { n++ })
+		gpu.Add(1, func() { n++ })
 	}
 	e.Run(1.99)
 	if n != 0 {
@@ -271,7 +257,7 @@ func TestGPUBelowSaturationLatencyConstant(t *testing.T) {
 	// 3 concurrent jobs: total rate 6*3/6 = 3, each gets rate 1.
 	var done []float64
 	for i := 0; i < 3; i++ {
-		gpu.Add(1, 1, func() { done = append(done, e.Now()) })
+		gpu.Add(1, func() { done = append(done, e.Now()) })
 	}
 	e.Run(100)
 	for _, d := range done {
@@ -279,26 +265,6 @@ func TestGPUBelowSaturationLatencyConstant(t *testing.T) {
 			t.Errorf("below saturation latency %v, want 1", d)
 		}
 	}
-}
-
-func TestSharedResourceCancel(t *testing.T) {
-	e := NewEngine()
-	cpu := NewCPU(e, 1)
-	var a float64
-	bFired := false
-	cpu.Add(2, 1, func() { a = e.Now() })
-	job := cpu.Add(2, 1, func() { bFired = true })
-	e.Schedule(1, job.Cancel)
-	e.Run(100)
-	if bFired {
-		t.Error("cancelled job completed")
-	}
-	// A shares [0,1] (0.5 done), then runs alone: 1 + 1.5 = 2.5.
-	if math.Abs(a-2.5) > 1e-9 {
-		t.Errorf("a done at %v, want 2.5", a)
-	}
-	// Cancelling twice is a no-op.
-	job.Cancel()
 }
 
 // TestAtNaNInfClamped pins the regression where a NaN (or -Inf) target time
@@ -350,7 +316,7 @@ func TestSharedResourceZeroWork(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 1)
 	done := false
-	cpu.Add(0, 1, func() { done = true })
+	cpu.Add(0, func() { done = true })
 	e.Run(0.001)
 	if !done {
 		t.Error("zero-work job did not complete immediately")
@@ -361,7 +327,7 @@ func TestSharedResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 4)
 	// One job of 2 units at weight 1: delivers rate 1 for 2s.
-	cpu.Add(2, 1, func() {})
+	cpu.Add(2, func() {})
 	e.Run(4)
 	// Utilization over [0,4]: delivered 2 work-units / (4 cores * 4 s).
 	if got := cpu.Utilization(0, 0); math.Abs(got-2.0/16) > 1e-9 {
@@ -373,7 +339,7 @@ func TestSharedResourceSaturatedUtilizationIs100(t *testing.T) {
 	e := NewEngine()
 	cpu := NewCPU(e, 2)
 	for i := 0; i < 8; i++ {
-		cpu.Add(1, 1, func() {})
+		cpu.Add(1, func() {})
 	}
 	e.Run(4) // 8 units of work at capped rate 2 -> busy exactly [0,4]
 	if got := cpu.Utilization(0, 0); math.Abs(got-1) > 1e-9 {

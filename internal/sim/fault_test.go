@@ -15,8 +15,8 @@ func TestSharedResourceCrash(t *testing.T) {
 	cpu := NewCPU(e, 4)
 	fired := 0
 	done := func() { fired++ }
-	cpu.Add(10, 1, done)
-	cpu.Add(10, 1, done)
+	cpu.Add(10, done)
+	cpu.Add(10, done)
 	cpu.AddHold(2)
 	e.Run(1)
 	w0 := cpu.WorkIntegral()
@@ -35,7 +35,7 @@ func TestSharedResourceCrash(t *testing.T) {
 		t.Errorf("work integral shrank across crash: %v < %v", got, w0)
 	}
 	// The resource keeps working after a crash.
-	cpu.Add(0.5, 1, done)
+	cpu.Add(0.5, done)
 	e.Run(200)
 	if fired != 1 {
 		t.Errorf("post-crash job completions = %d, want 1", fired)

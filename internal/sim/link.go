@@ -258,14 +258,14 @@ func (l *Link) send(t *linkTransfer) {
 		}
 		t.flightBytes = bytes
 		if l.bw != nil {
-			l.bw.Add(bytes*8*l.invRate, 1, t.sent)
+			l.bw.Add(bytes*8*l.invRate, t.sent)
 			return
 		}
 		l.eng.Schedule(l.delay, t.arrived)
 		return
 	}
 	if l.bw != nil {
-		l.bw.Add(t.work, 1, t.sent)
+		l.bw.Add(t.work, t.sent)
 		return
 	}
 	l.eng.Schedule(l.delay, t.arrived)

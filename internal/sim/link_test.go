@@ -181,7 +181,7 @@ func TestSharedResourceProgressAtLargeClock(t *testing.T) {
 	})
 	done := 0
 	for i := 0; i < 16; i++ {
-		pipe.Add(0.08, 1, func() { done++ })
+		pipe.Add(0.08, func() { done++ })
 	}
 	e.Run(e.Now() + 100)
 	if done != 16 {
@@ -227,7 +227,7 @@ func TestSharedResourceAndPoolReset(t *testing.T) {
 	cpu := NewCPU(e, 2)
 	p := NewPool(e, "x", 2)
 	for i := 0; i < 8; i++ {
-		cpu.Add(1, 1, func() {})
+		cpu.Add(1, func() {})
 		p.Request(func() { e.Schedule(0.5, p.Release) })
 	}
 	e.Run(2) // leave work in flight
@@ -242,7 +242,7 @@ func TestSharedResourceAndPoolReset(t *testing.T) {
 		t.Errorf("pool not reset: %+v", p)
 	}
 	done := 0
-	cpu.Add(1.5, 1, func() { done++ })
+	cpu.Add(1.5, func() { done++ })
 	p.Request(func() { done++ })
 	e.Run(10)
 	if done != 2 {

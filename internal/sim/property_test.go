@@ -24,7 +24,7 @@ func TestPSWorkConservationProperty(t *testing.T) {
 		for i := 0; i < nJobs; i++ {
 			w := 0.1 + r.Float64()*3
 			totalWork += w
-			cpu.Add(w, 1, func() {
+			cpu.Add(w, func() {
 				done++
 				lastDone = e.Now()
 			})
@@ -57,7 +57,7 @@ func TestPSFairnessProperty(t *testing.T) {
 		cpu := NewCPU(e, 1)
 		var times []float64
 		for i := 0; i < nJobs; i++ {
-			cpu.Add(1, 1, func() { times = append(times, e.Now()) })
+			cpu.Add(1, func() { times = append(times, e.Now()) })
 		}
 		e.Run(1e6)
 		if len(times) != nJobs {
@@ -112,7 +112,7 @@ func TestHoldNeverCompletes(t *testing.T) {
 	cpu := NewCPU(e, 1)
 	release := cpu.Hold(1) // consumes half the core alongside one job
 	var done float64
-	cpu.Add(1, 1, func() { done = e.Now() })
+	cpu.Add(1, func() { done = e.Now() })
 	e.Run(1e6)
 	if math.Abs(done-2) > 1e-9 {
 		t.Errorf("job sharing with equal-weight hold finished at %v, want 2", done)
@@ -125,7 +125,7 @@ func TestHoldNeverCompletes(t *testing.T) {
 	// After release, new jobs run at full speed.
 	start := e.Now()
 	var done2 float64
-	cpu.Add(1, 1, func() { done2 = e.Now() })
+	cpu.Add(1, func() { done2 = e.Now() })
 	e.Run(start + 100)
 	if math.Abs(done2-start-1) > 1e-9 {
 		t.Errorf("post-release job took %v, want 1", done2-start)
@@ -154,7 +154,7 @@ func TestGPUThroughputCapProperty(t *testing.T) {
 		e := NewEngine()
 		gpu := NewGPU(e, 6, 6)
 		for i := 0; i < nJobs; i++ {
-			gpu.Add(1, 1, func() {})
+			gpu.Add(1, func() {})
 		}
 		horizon := 100.0
 		e.Run(horizon)

@@ -3,7 +3,7 @@ package sim
 import "math"
 
 // SharedResource models a capacity shared among concurrent jobs under
-// (weighted) processor sharing with a configurable aggregate-rate curve.
+// equal-share processor sharing with a configurable aggregate-rate curve.
 //
 // Two instantiations matter for the Pl@ntNet engine model:
 //
@@ -18,30 +18,27 @@ import "math"
 //     reduced when increasing the extract thread pool size".
 type SharedResource struct {
 	eng *Engine
-	// TotalRate maps the active weight sum to delivered aggregate rate
-	// (work units per second). Must be positive for positive weight.
+	// TotalRate maps the active weight (running jobs plus holds) to
+	// delivered aggregate rate (work units per second). Must be positive
+	// for positive weight.
 	TotalRate func(activeWeight float64) float64
 	// MaxRate is the rate used as the denominator for utilization
 	// accounting (e.g. number of cores).
 	MaxRate float64
 
-	// jobs is a dense, insertion-ordered slice: advance/reschedule walk it
-	// on every resource event, which made the old map representation (with
-	// its per-event iterator overhead and nondeterministic completion
-	// ordering) the single hottest path of a whole optimization run.
-	jobs []*sharedJob
-	// freeJobs recycles completed/cancelled job nodes, so steady-state job
-	// churn allocates nothing. Nodes are generation-counted: a stale Job
-	// handle (completed, cancelled, or recycled) is detected in O(1).
-	freeJobs []*sharedJob
-	// jobWeight is the running Σ job weights, maintained incrementally so
-	// ActiveWeight is O(1) instead of an O(jobs) sum per event. It is reset
-	// to exactly 0 whenever the resource drains, so float drift cannot
-	// accumulate across bursts.
-	jobWeight float64
-	holds     float64 // weight of persistent loads (see Hold)
-	nextEv    Event
-	hasNext   bool
+	// jobs is a dense, insertion-ordered slice of the running jobs, each of
+	// weight 1: completions fire in slice order, so simultaneous
+	// completions are deterministic.
+	jobs []sharedJob
+	// minRem is the smallest rem in jobs (+Inf when there is none). Every
+	// job runs at the same rate, so advance subtracts one value d from
+	// every rem; IEEE subtraction is monotone (a <= b implies
+	// fl(a-d) <= fl(b-d)), so the job holding the minimum keeps it and
+	// minRem is tracked rather than searched for.
+	minRem  float64
+	holds   float64 // weight of persistent loads (see Hold)
+	nextEv  Event
+	hasNext bool
 	// completeFn is the next-completion callback, bound once so the
 	// reschedule path never allocates a closure.
 	completeFn func()
@@ -50,37 +47,8 @@ type SharedResource struct {
 }
 
 type sharedJob struct {
-	remaining float64
-	weight    float64
-	rate      float64
-	onDone    func()
-	gen       uint32
-}
-
-// Job is a value handle to a submitted job, used to cancel it (failure
-// injection in tests). The zero Job is inert.
-type Job struct {
-	s   *SharedResource
-	j   *sharedJob
-	gen uint32
-}
-
-// Cancel aborts the job if it is still running. Cancelling a completed,
-// cancelled, or zero Job is a no-op.
-//
-//simlint:noalloc steady-state job churn (PR 3 contract, sim/alloc_test.go)
-func (h Job) Cancel() {
-	if h.j == nil || h.j.gen != h.gen {
-		return
-	}
-	s := h.s
-	s.advance()
-	if h.j.gen != h.gen { // completed during the advance
-		return
-	}
-	s.removeJob(h.j)
-	s.releaseJob(h.j)
-	s.reschedule()
+	rem    float64 // work still to do
+	onDone func()
 }
 
 // NewSharedResource builds a shared resource on the engine.
@@ -89,6 +57,7 @@ func NewSharedResource(eng *Engine, maxRate float64, totalRate func(float64) flo
 		eng:       eng,
 		TotalRate: totalRate,
 		MaxRate:   maxRate,
+		minRem:    math.Inf(1),
 		lastT:     eng.Now(),
 	}
 	// Bind the next-completion callback here, once per resource, so the
@@ -126,74 +95,23 @@ func NewGPU(eng *Engine, peak float64, ksat float64) *SharedResource {
 	})
 }
 
-//simlint:noalloc steady-state job churn pops the freelist; growth is in newSharedJob
-func (s *SharedResource) allocJob(work, weight float64, onDone func()) *sharedJob {
-	var j *sharedJob
-	if n := len(s.freeJobs); n > 0 {
-		j = s.freeJobs[n-1]
-		s.freeJobs = s.freeJobs[:n-1]
-	} else {
-		j = newSharedJob() //simlint:allow noallocclosure //go:noinline freelist-growth constructor; the hot path reuses pooled jobs
-	}
-	j.remaining, j.weight, j.rate, j.onDone = work, weight, 0, onDone
-	return j
-}
-
-// newSharedJob is the cold-path node allocator, kept out of line so its
-// escape stays outside the //simlint:noalloc span of allocJob (inlining
-// would re-attribute the allocation to the call site).
-//
-//go:noinline
-func newSharedJob() *sharedJob { return &sharedJob{} }
-
-// releaseJob retires a node to the freelist; the generation bump invalidates
-// every outstanding handle to it.
-//
-//simlint:noalloc
-func (s *SharedResource) releaseJob(j *sharedJob) {
-	j.gen++
-	j.onDone = nil
-	s.freeJobs = append(s.freeJobs, j)
-}
-
-// Add submits a job with the given amount of work and weight; onDone fires
-// when the work completes. The returned handle can Cancel the job (used for
-// failure injection in tests).
+// Add submits a job with the given amount of work; onDone fires when the
+// work completes.
 //
 //simlint:noalloc steady-state job churn
-func (s *SharedResource) Add(work, weight float64, onDone func()) Job {
+func (s *SharedResource) Add(work float64, onDone func()) {
 	if work <= 0 {
 		// Zero-length jobs complete immediately (via the calendar for
 		// deterministic ordering).
 		s.eng.Schedule(0, onDone)
-		return Job{}
-	}
-	if weight <= 0 {
-		panic("sim: job weight must be positive")
+		return
 	}
 	s.advance()
-	j := s.allocJob(work, weight, onDone)
-	s.jobs = append(s.jobs, j)
-	s.jobWeight += weight
+	s.jobs = append(s.jobs, sharedJob{rem: work, onDone: onDone})
+	if work < s.minRem {
+		s.minRem = work
+	}
 	s.reschedule()
-	return Job{s: s, j: j, gen: j.gen}
-}
-
-// removeJob drops j from the dense slice, preserving insertion order (which
-// keeps completion ordering deterministic), and updates the running weight.
-//
-//simlint:noalloc
-func (s *SharedResource) removeJob(j *sharedJob) {
-	for i, other := range s.jobs {
-		if other == j {
-			s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
-			break
-		}
-	}
-	s.jobWeight -= j.weight
-	if len(s.jobs) == 0 {
-		s.jobWeight = 0
-	}
 }
 
 // AddHold adds a persistent load of the given weight: it consumes capacity
@@ -247,27 +165,30 @@ func (s *SharedResource) Hold(weight float64) (release func()) {
 }
 
 // Reset returns the resource to a fresh state after an Engine.Reset,
-// recycling in-flight jobs into the freelist so the next run's steady state
-// allocates nothing. totalRate replaces the rate curve when non-nil (rate
-// curves usually close over run parameters, so pooled callers rebind them
-// per run); maxRate is only applied alongside a non-nil totalRate.
+// keeping the job slice's capacity so the next run's steady state allocates
+// nothing. totalRate replaces the rate curve when non-nil (rate curves
+// usually close over run parameters, so pooled callers rebind them per
+// run); maxRate is only applied alongside a non-nil totalRate.
 //
 //simlint:noalloc pooled-reuse path (PR 5 contract)
 func (s *SharedResource) Reset(maxRate float64, totalRate func(float64) float64) {
-	for _, j := range s.jobs {
-		s.releaseJob(j)
-	}
-	for i := range s.jobs {
-		s.jobs[i] = nil
-	}
-	s.jobs = s.jobs[:0]
-	s.jobWeight, s.holds = 0, 0
+	s.dropJobs()
 	s.nextEv, s.hasNext = Event{}, false
 	s.lastT = s.eng.Now()
 	s.workInt = 0
 	if totalRate != nil {
 		s.TotalRate, s.MaxRate = totalRate, maxRate
 	}
+}
+
+// dropJobs discards every running job and hold without firing anything.
+//
+//simlint:noalloc
+func (s *SharedResource) dropJobs() {
+	clear(s.jobs) // release the onDone references
+	s.jobs = s.jobs[:0]
+	s.minRem = math.Inf(1)
+	s.holds = 0
 }
 
 // Sync prices elapsed time at the current rates and recomputes the next
@@ -288,8 +209,7 @@ func (s *SharedResource) Sync() {
 // integrals survive so monitors keep reporting across the outage. Elapsed
 // time is priced into the work integral WITHOUT firing completions (work
 // that was numerically due at the crash instant is lost with the rest),
-// so no stale continuation can run on the crashed resource. Dropped jobs
-// return to the freelist; outstanding Job handles become inert.
+// so no stale continuation can run on the crashed resource.
 //
 //simlint:noalloc fault event path (crash/failover, PR 7 contract)
 func (s *SharedResource) Crash() {
@@ -300,23 +220,17 @@ func (s *SharedResource) Crash() {
 		}
 		s.lastT = now
 	}
-	for _, j := range s.jobs {
-		s.releaseJob(j)
-	}
-	for i := range s.jobs {
-		s.jobs[i] = nil
-	}
-	s.jobs = s.jobs[:0]
-	s.jobWeight, s.holds = 0, 0
+	s.dropJobs()
 	if s.hasNext {
 		s.nextEv.Cancel()
 		s.hasNext = false
 	}
 }
 
-// ActiveWeight returns the current total weight of running jobs plus holds.
+// ActiveWeight returns the current total weight of running jobs (1 each)
+// plus holds.
 func (s *SharedResource) ActiveWeight() float64 {
-	return s.holds + s.jobWeight
+	return s.holds + float64(len(s.jobs))
 }
 
 // ActiveJobs returns the number of running jobs.
@@ -340,8 +254,8 @@ func (s *SharedResource) Utilization(workIntAtT0, t0 float64) float64 {
 	return (s.WorkIntegral() - workIntAtT0) / (s.MaxRate * (now - t0))
 }
 
-// advance applies elapsed time to every running job at its current rate and
-// fires completions that are (numerically) due.
+// advance applies elapsed time to every running job at the shared per-job
+// rate and fires completions that are (numerically) due.
 //
 //simlint:noalloc steady-state job churn
 func (s *SharedResource) advance() {
@@ -357,36 +271,43 @@ func (s *SharedResource) advance() {
 	}
 	total := s.TotalRate(w)
 	s.workInt += total * dt
-	const eps = 1e-12
-	// Completions fire in insertion order (the slice order), which — unlike
-	// the old map iteration — makes simultaneous completions deterministic.
-	// Survivors are compacted in place; their remaining work was already
-	// decremented at the old (slower) rate for this slice, which is the
-	// correct PS semantics.
-	kept := s.jobs[:0]
-	for _, j := range s.jobs {
-		j.rate = j.weight * total / w
-		j.remaining -= j.rate * dt
-		if j.remaining <= eps {
-			s.jobWeight -= j.weight
-			s.eng.Schedule(0, j.onDone)
-			s.releaseJob(j)
-		} else {
-			kept = append(kept, j)
-		}
-	}
-	for i := len(kept); i < len(s.jobs); i++ {
-		s.jobs[i] = nil
-	}
-	s.jobs = kept
 	if len(s.jobs) == 0 {
-		s.jobWeight = 0
+		return
 	}
+	d := total / w * dt // the work each job received over dt
+	const eps = 1e-12
+	if s.minRem-d > eps {
+		// Nothing completes; the minimum stays with the same job.
+		for i := range s.jobs {
+			s.jobs[i].rem -= d
+		}
+		s.minRem -= d
+		return
+	}
+	// Completions fire in insertion order (the slice order). Survivors are
+	// compacted in place and the minimum is recomputed over them.
+	kept := 0
+	minRem := math.Inf(1)
+	for _, j := range s.jobs {
+		j.rem -= d
+		if j.rem <= eps {
+			s.eng.Schedule(0, j.onDone)
+			continue
+		}
+		if j.rem < minRem {
+			minRem = j.rem
+		}
+		s.jobs[kept] = j
+		kept++
+	}
+	clear(s.jobs[kept:])
+	s.jobs = s.jobs[:kept]
+	s.minRem = minRem
 }
 
-// reschedule recomputes the next completion event, moving the pending
-// event in place when possible so the calendar stays free of cancelled
-// tombstones.
+// reschedule recomputes the next completion event — the job holding minRem
+// finishes first — moving the pending event in place when possible so the
+// calendar stays free of cancelled tombstones.
 //
 //simlint:noalloc steady-state job churn; completeFn is bound once in NewSharedResource
 func (s *SharedResource) reschedule() {
@@ -407,14 +328,9 @@ func (s *SharedResource) reschedule() {
 		}
 		return
 	}
-	soonest := math.Inf(1)
-	for _, j := range s.jobs {
-		rate := j.weight * total / w
-		t := j.remaining / rate
-		if t < soonest {
-			soonest = t
-		}
-	}
+	// Division by the positive per-job rate is monotone too, so this is
+	// the minimum of rem/rate over all jobs.
+	soonest := s.minRem / (total / w)
 	// At large clock values now+soonest can collapse to exactly now (the
 	// residue left by advance's float subtraction is below one ulp of the
 	// clock); a completion firing with dt == 0 makes no progress, so pin

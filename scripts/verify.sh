@@ -68,6 +68,11 @@ race_pkgs=(
 
 gate build go build ./...
 gate vet go vet ./...
+# The campaign benchmark is a separate module (campaignbench/go.mod), so the
+# root ./... never builds it; vet and test it explicitly so an API change in
+# the library cannot break the benchmark unseen.
+gate bench-vet go -C campaignbench vet ./...
+gate bench-test go -C campaignbench test ./...
 gate simlint simlint_gate
 gate test go test ./...
 gate race go test -race "${race_pkgs[@]}"
