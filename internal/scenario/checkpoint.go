@@ -1,155 +1,81 @@
 package scenario
 
-import "e2clab/internal/tune"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"os"
+	"reflect"
+)
 
-// checkpointField is one ordered slot of the Result checkpoint layout: the
-// Result field it carries (Name is the exact selector path, verified
-// against the get/set bodies by the simlint schema analyzer) and the
-// accessors encode/decode use. The layout is the single source of truth
-// for the checkpoint wire format — its length replaces the old magic
-// report count, and its order IS the on-disk order, so reordering or
-// removing an entry invalidates every existing checkpoint (decode rejects
-// the stale length/shape and the suite re-runs the scenario).
-type checkpointField struct {
-	Name string
-	get  func(r *Result) float64
-	set  func(r *Result, v float64)
-}
+// checkpointFormat numbers the envelope of the checkpoint file. Changes to
+// Result itself need no bump: checkpointVersion hashes its shape.
+const checkpointFormat = 1
 
-// checkpointOmission names a Result field deliberately absent from the
-// checkpoint layout, with the reason it need not survive a resume. The
-// schema analyzer requires every Result field to appear in exactly one of
-// checkpointLayout and checkpointOmitted, so a new counter cannot be
-// forgotten silently.
-type checkpointOmission struct {
-	Field  string
-	Reason string
-}
+// checkpointVersion tags every checkpoint with the envelope format and a
+// hash of Result's field names, types and JSON tags (recursing into nested
+// structs such as stats.Summary), so any change to Result makes old
+// checkpoints count as empty and every scenario re-runs.
+var checkpointVersion = func() string {
+	h := fnv.New64a()
+	hashFields(h, reflect.TypeOf(Result{}))
+	return fmt.Sprintf("%d-%016x", checkpointFormat, h.Sum64())
+}()
 
-// checkpointLayout is the ordered Result checkpoint schema. Appending a
-// field grows the layout (old checkpoints are rejected as stale by the
-// length check in decodeResult and re-run); the simlint schema analyzer
-// cross-checks the layout against the Result struct and the render tables,
-// so a field added in one place but not the others is a lint failure, not
-// a silent drift.
-var checkpointLayout = []checkpointField{
-	{"Gateways",
-		func(r *Result) float64 { return float64(r.Gateways) },
-		func(r *Result, v float64) { r.Gateways = int(v) }},
-	{"Clients",
-		func(r *Result) float64 { return float64(r.Clients) },
-		func(r *Result, v float64) { r.Clients = int(v) }},
-	{"Phases",
-		func(r *Result) float64 { return float64(r.Phases) },
-		func(r *Result, v float64) { r.Phases = int(v) }},
-	{"EngineResp.N",
-		func(r *Result) float64 { return float64(r.EngineResp.N) },
-		func(r *Result, v float64) { r.EngineResp.N = int(v) }},
-	{"EngineResp.Mean",
-		func(r *Result) float64 { return r.EngineResp.Mean },
-		func(r *Result, v float64) { r.EngineResp.Mean = v }},
-	{"EngineResp.StdDev",
-		func(r *Result) float64 { return r.EngineResp.StdDev },
-		func(r *Result, v float64) { r.EngineResp.StdDev = v }},
-	{"EngineResp.Min",
-		func(r *Result) float64 { return r.EngineResp.Min },
-		func(r *Result, v float64) { r.EngineResp.Min = v }},
-	{"EngineResp.Max",
-		func(r *Result) float64 { return r.EngineResp.Max },
-		func(r *Result, v float64) { r.EngineResp.Max = v }},
-	{"NetOverheadSec",
-		func(r *Result) float64 { return r.NetOverheadSec },
-		func(r *Result, v float64) { r.NetOverheadSec = v }},
-	{"RespMean",
-		func(r *Result) float64 { return r.RespMean },
-		func(r *Result, v float64) { r.RespMean = v }},
-	{"RespP95",
-		func(r *Result) float64 { return r.RespP95 },
-		func(r *Result, v float64) { r.RespP95 = v }},
-	{"Throughput",
-		func(r *Result) float64 { return r.Throughput },
-		func(r *Result, v float64) { r.Throughput = v }},
-	{"Completed",
-		func(r *Result) float64 { return float64(r.Completed) },
-		func(r *Result, v float64) { r.Completed = int(v) }},
-	{"FaultGatewayFailures",
-		func(r *Result) float64 { return float64(r.FaultGatewayFailures) },
-		func(r *Result, v float64) { r.FaultGatewayFailures = int(v) }},
-	{"FaultCrashRequeues",
-		func(r *Result) float64 { return float64(r.FaultCrashRequeues) },
-		func(r *Result, v float64) { r.FaultCrashRequeues = int(v) }},
-	{"FaultCrashFailures",
-		func(r *Result) float64 { return float64(r.FaultCrashFailures) },
-		func(r *Result, v float64) { r.FaultCrashFailures = int(v) }},
-	{"FaultDropped",
-		func(r *Result) float64 { return float64(r.FaultDropped) },
-		func(r *Result, v float64) { r.FaultDropped = int(v) }},
-	{"Failed",
-		func(r *Result) float64 { return float64(r.Failed) },
-		func(r *Result, v float64) { r.Failed = int(v) }},
-	{"Retries",
-		func(r *Result) float64 { return float64(r.Retries) },
-		func(r *Result, v float64) { r.Retries = int(v) }},
-	{"RetrySuccesses",
-		func(r *Result) float64 { return float64(r.RetrySuccesses) },
-		func(r *Result, v float64) { r.RetrySuccesses = int(v) }},
-	{"Hedges",
-		func(r *Result) float64 { return float64(r.Hedges) },
-		func(r *Result, v float64) { r.Hedges = int(v) }},
-	{"HedgeWins",
-		func(r *Result) float64 { return float64(r.HedgeWins) },
-		func(r *Result, v float64) { r.HedgeWins = int(v) }},
-	{"Rerouted",
-		func(r *Result) float64 { return float64(r.Rerouted) },
-		func(r *Result, v float64) { r.Rerouted = int(v) }},
-	{"Shed",
-		func(r *Result) float64 { return float64(r.Shed) },
-		func(r *Result, v float64) { r.Shed = int(v) }},
-	{"BreakerOpens",
-		func(r *Result) float64 { return float64(r.BreakerOpens) },
-		func(r *Result, v float64) { r.BreakerOpens = int(v) }},
-	{"DeadlineExceeded",
-		func(r *Result) float64 { return float64(r.DeadlineExceeded) },
-		func(r *Result, v float64) { r.DeadlineExceeded = int(v) }},
-	{"Goodput",
-		func(r *Result) float64 { return r.Goodput },
-		func(r *Result, v float64) { r.Goodput = v }},
-	{"Availability",
-		func(r *Result) float64 { return r.Availability },
-		func(r *Result, v float64) { r.Availability = v }},
-}
-
-// checkpointOmitted declares the Result fields the checkpoint does not
-// carry. Every entry must name a real field that is not in the layout.
-var checkpointOmitted = []checkpointOmission{
-	{"Index", "assigned by the suite runner from the trial slot at decode"},
-	{"Name", "non-numeric; restored from the scenario spec at decode"},
-	{"NetModel", "derived from the spec; the checkpoint fingerprint pins the spec"},
-}
-
-// encodeResult flattens a Result into checkpoint reports (all finite) in
-// checkpointLayout order.
-func encodeResult(r *Result) []tune.Report {
-	out := make([]tune.Report, len(checkpointLayout))
-	for i, f := range checkpointLayout {
-		out[i] = tune.Report{Iteration: i, Value: f.get(r)}
-	}
-	return out
-}
-
-// decodeResult rebuilds a Result from checkpoint reports; ok is false when
-// the reports do not carry the layout's exact shape (stale checkpoint
-// format — e.g. written before a layout field was added or removed).
-func decodeResult(index int, name string, reports []tune.Report) (*Result, bool) {
-	if len(reports) != len(checkpointLayout) {
-		return nil, false
-	}
-	r := &Result{Index: index, Name: name}
-	for i, rep := range reports {
-		if rep.Iteration != i {
-			return nil, false
+func hashFields(w io.Writer, t reflect.Type) {
+	fmt.Fprint(w, "{")
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		fmt.Fprintf(w, "%s %s %q;", f.Name, f.Type, f.Tag.Get("json"))
+		if f.Type.Kind() == reflect.Struct {
+			hashFields(w, f.Type)
 		}
-		checkpointLayout[i].set(r, rep.Value)
 	}
-	return r, true
+	fmt.Fprint(w, "}")
+}
+
+// checkpoint is the suite checkpoint file: every completed scenario's Result,
+// stored verbatim under its fingerprint. R is *Result when writing and
+// json.RawMessage when reading, so one bad entry re-runs only its scenario.
+type checkpoint[R any] struct {
+	Version string       `json:"version"`
+	Suite   string       `json:"suite"`
+	Results map[string]R `json:"results"`
+}
+
+// saveCheckpoint writes the completed results atomically (temp file, then
+// rename), so a crash mid-write leaves the previous checkpoint intact.
+func saveCheckpoint(path, suite string, results map[string]*Result) error {
+	b, err := json.Marshal(checkpoint[*Result]{checkpointVersion, suite, results})
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// loadCheckpoint returns the stored entries by fingerprint. A missing file,
+// or a parseable one written for another suite or another checkpointVersion,
+// yields no entries; an unreadable or non-JSON file is an error.
+func loadCheckpoint(path, suite string) (map[string]json.RawMessage, error) {
+	b, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var ck checkpoint[json.RawMessage]
+	if err := json.Unmarshal(b, &ck); err != nil {
+		return nil, err
+	}
+	if ck.Version != checkpointVersion || ck.Suite != suite {
+		return nil, nil
+	}
+	return ck.Results, nil
 }

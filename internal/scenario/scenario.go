@@ -487,8 +487,7 @@ type Result struct {
 	Clients  int    `json:"clients"`
 	Phases   int    `json:"phases"`
 	// NetModel is the resolved network model the scenario ran under
-	// ("analytical" or "simulated"); it is derived from the spec, not
-	// stored in checkpoints (the fingerprint pins the spec).
+	// ("analytical" or "simulated"), derived from the spec.
 	NetModel string `json:"net_model,omitempty"`
 
 	// EngineResp pools every post-warmup response-time sample across

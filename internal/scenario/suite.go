@@ -13,8 +13,6 @@ import (
 
 	"e2clab/internal/provenance"
 	"e2clab/internal/rngutil"
-	"e2clab/internal/space"
-	"e2clab/internal/tune"
 )
 
 // Suite is a named family of scenarios evaluated under one protocol — the
@@ -102,10 +100,10 @@ type Options struct {
 	// RepeatParallelism bounds each scenario's internal RunRepeated pool
 	// (default 1: the suite pool is the parallelism knob).
 	RepeatParallelism int
-	// CheckpointPath enables crash-safe resume: the suite state is saved
-	// (atomically, via the tune checkpoint machinery) after every scenario
-	// completes, and a restart skips scenarios already completed under the
-	// same spec, seed, and protocol.
+	// CheckpointPath enables crash-safe resume: every completed Result is
+	// saved (atomically, as JSON keyed by scenario fingerprint) after each
+	// scenario completes, and a restart skips scenarios already completed
+	// under the same spec, seed, and protocol.
 	CheckpointPath string
 	// ArchiveDir, when set, archives suite provenance: one evaluation
 	// record per scenario plus a suite.json manifest.
@@ -137,13 +135,12 @@ type SuiteResult struct {
 	Resumed  int
 }
 
-// suiteMetric is the checkpoint metric name.
+// suiteMetric is the archived objective's metric name.
 const suiteMetric = "user_resp_time"
 
 // fingerprint identifies a (scenario, derived seed) pair in the checkpoint
-// so resume only trusts trials whose spec, protocol, and seed all match.
-// The two halves are stored as exact small integers in Trial.Config.
-func fingerprint(sc Scenario, seed int64) (hi, lo float64) {
+// so resume only trusts results whose spec, protocol, and seed all match.
+func fingerprint(sc Scenario, seed int64) string {
 	// The sharded kernel is worker-count invariant (bit-identical results
 	// for any Shards >= 2), so the fingerprint collapses the count to its
 	// canonical 2: retuning parallelism never invalidates a checkpoint,
@@ -156,8 +153,7 @@ func fingerprint(sc Scenario, seed int64) (hi, lo float64) {
 	b, _ := json.Marshal(sc)
 	h.Write(b)
 	fmt.Fprintf(h, "|seed=%d", seed)
-	sum := h.Sum64()
-	return float64(sum >> 32), float64(sum & 0xffffffff)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // RunSuite executes every scenario of the suite on a bounded worker pool
@@ -178,57 +174,37 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 	// completed before it.
 	seeder := rngutil.NewSeeder(s.Seed + 17)
 	seeds := make([]int64, n)
-	fpHi := make([]float64, n)
-	fpLo := make([]float64, n)
+	fps := make([]string, n)
 	for i := range seeds {
 		seeds[i] = seeder.Next()
-		fpHi[i], fpLo[i] = fingerprint(scenarios[i], seeds[i])
+		fps[i] = fingerprint(scenarios[i], seeds[i])
 	}
 
 	results := make([]*Result, n)
 	errs := make([]error, n)
-	trials := make([]*tune.Trial, n)
+	done := make(map[string]*Result, n) // completed results by fingerprint
 	resumed := 0
 
-	// Resume: trust only checkpoint trials whose fingerprint still matches
-	// the scenario spec + seed + protocol at the same index.
+	// Resume: trust only stored results whose fingerprint still matches
+	// the scenario spec + seed + protocol.
 	if opts.CheckpointPath != "" {
-		if ck, lerr := tune.Load(opts.CheckpointPath); lerr == nil && ck.Name == s.Name {
-			for _, t := range ck.Trials {
-				i := t.ID
-				if i < 0 || i >= n || t.Status != tune.Completed {
-					continue
-				}
-				if len(t.Config) != 3 || t.Config[0] != float64(i) ||
-					t.Config[1] != fpHi[i] || t.Config[2] != fpLo[i] {
-					continue
-				}
-				if r, ok := decodeResult(i, scenarios[i].Name, t.Reports); ok {
-					// NetModel is derived, not checkpointed: the
-					// fingerprint guarantees the spec (and therefore the
-					// model) is unchanged.
-					r.NetModel = scenarios[i].networkModelName()
-					results[i] = r
-					resumed++
-					if opts.Logger != nil {
-						opts.Logger("resumed", i, scenarios[i].Name)
-					}
-				}
-			}
-		} else if lerr != nil && !errors.Is(lerr, os.ErrNotExist) {
+		prev, lerr := loadCheckpoint(opts.CheckpointPath, s.Name)
+		if lerr != nil {
 			return nil, fmt.Errorf("scenario: checkpoint %s unusable: %w", opts.CheckpointPath, lerr)
 		}
-	}
-	for i := range trials {
-		trials[i] = &tune.Trial{
-			ID:     i,
-			Config: []float64{float64(i), fpHi[i], fpLo[i]},
-			Status: tune.Pending,
-		}
-		if results[i] != nil {
-			trials[i].Status = tune.Completed
-			trials[i].Value = results[i].RespMean
-			trials[i].Reports = encodeResult(results[i])
+		for i, sc := range scenarios {
+			raw, ok := prev[fps[i]]
+			var r *Result
+			if !ok || json.Unmarshal(raw, &r) != nil || r == nil {
+				continue // absent, undecodable, or null: re-run
+			}
+			r.Index, r.Name = i, sc.Name
+			results[i] = r
+			done[fps[i]] = r
+			resumed++
+			if opts.Logger != nil {
+				opts.Logger("resumed", i, sc.Name)
+			}
 		}
 	}
 
@@ -240,15 +216,7 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 		}
 	}
 
-	var mu sync.Mutex // guards trials, results, errs, checkpoint writes
-	saveCheckpoint := func() error {
-		if opts.CheckpointPath == "" {
-			return nil
-		}
-		a := &tune.Analysis{Name: s.Name, Metric: suiteMetric, Mode: space.Min,
-			Trials: trials}
-		return a.Save(opts.CheckpointPath)
-	}
+	var mu sync.Mutex // guards results, errs, done, checkpoint writes
 
 	workers := opts.Parallel
 	if workers <= 0 {
@@ -265,7 +233,6 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 	runOne := func(i int) {
 		sc := scenarios[i]
 		mu.Lock()
-		trials[i].Status = tune.Running
 		if opts.Logger != nil {
 			opts.Logger("started", i, sc.Name)
 		}
@@ -273,26 +240,24 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 		r, rerr := sc.Run(seeds[i], opts.RepeatParallelism)
 		mu.Lock()
 		defer mu.Unlock()
+		executed.Add(1)
 		if rerr != nil {
 			errs[i] = rerr
-			trials[i].Status = tune.Failed
-			trials[i].Err = rerr
 			if opts.Logger != nil {
 				opts.Logger("failed", i, sc.Name)
 			}
-		} else {
-			r.Index = i
-			results[i] = r
-			trials[i].Status = tune.Completed
-			trials[i].Value = r.RespMean
-			trials[i].Reports = encodeResult(r)
-			if opts.Logger != nil {
-				opts.Logger("completed", i, sc.Name)
-			}
+			return
 		}
-		executed.Add(1)
-		if err := saveCheckpoint(); err != nil {
-			saveErr.CompareAndSwap(nil, err)
+		r.Index = i
+		results[i] = r
+		done[fps[i]] = r
+		if opts.Logger != nil {
+			opts.Logger("completed", i, sc.Name)
+		}
+		if opts.CheckpointPath != "" {
+			if err := saveCheckpoint(opts.CheckpointPath, s.Name, done); err != nil {
+				saveErr.CompareAndSwap(nil, err)
+			}
 		}
 	}
 

@@ -46,24 +46,19 @@ func testSuite() Suite {
 	}
 }
 
-// bits flattens a Result into raw float bits plus ints for bit-exact
-// comparison.
+// bits flattens every numeric Result field, nested ones included, into raw
+// integers and float bits for bit-exact comparison.
 func bits(r *Result) []uint64 {
-	return []uint64{
-		uint64(r.Gateways), uint64(r.Clients), uint64(r.Phases),
-		uint64(r.EngineResp.N),
-		math.Float64bits(r.EngineResp.Mean), math.Float64bits(r.EngineResp.StdDev),
-		math.Float64bits(r.EngineResp.Min), math.Float64bits(r.EngineResp.Max),
-		math.Float64bits(r.NetOverheadSec), math.Float64bits(r.RespMean),
-		math.Float64bits(r.RespP95), math.Float64bits(r.Throughput),
-		uint64(r.Completed),
-		uint64(r.FaultGatewayFailures), uint64(r.FaultCrashRequeues),
-		uint64(r.FaultCrashFailures), uint64(r.FaultDropped),
-		uint64(r.Failed), uint64(r.Retries), uint64(r.RetrySuccesses),
-		uint64(r.Hedges), uint64(r.HedgeWins), uint64(r.Rerouted),
-		uint64(r.Shed), uint64(r.BreakerOpens), uint64(r.DeadlineExceeded),
-		math.Float64bits(r.Goodput), math.Float64bits(r.Availability),
-	}
+	var out []uint64
+	walkFields(reflect.ValueOf(r).Elem(), "", func(_ string, f reflect.Value) {
+		switch {
+		case f.CanInt():
+			out = append(out, uint64(f.Int()))
+		case f.CanFloat():
+			out = append(out, math.Float64bits(f.Float()))
+		}
+	})
+	return out
 }
 
 func mustRun(t *testing.T, s Suite, opts Options) *SuiteResult {

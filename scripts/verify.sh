@@ -2,8 +2,7 @@
 # verify.sh — the tier-1 verification recipe (see ROADMAP.md). Beyond the
 # build and full test suite, it vets the tree, runs simlint (the custom
 # static-analysis gate machine-enforcing the determinism / RNG-discipline /
-# zero-alloc / kernel-synchronization / checkpoint-schema standing
-# invariants), race-checks the packages with goroutine-parallel paths
+# zero-alloc / kernel-synchronization standing invariants), race-checks the packages with goroutine-parallel paths
 # (surrogate worker pool, bo batch scoring, plantnet repeated-run pool —
 # including the simulated-network link, fault-schedule, resilience-policy,
 # and piecewise-arrival code it drives — scenario suite runner, tune's
