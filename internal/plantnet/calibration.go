@@ -71,38 +71,40 @@ type Calibration struct {
 }
 
 // DefaultCalibration returns the calibration used throughout the
-// reproduction.
-func DefaultCalibration() Calibration {
-	return Calibration{
-		PreProcessWork:  sim.LogNormal{MeanV: 0.012, CV: 0.25},
-		ProcessWork:     sim.LogNormal{MeanV: 0.035, CV: 0.25},
-		PostProcessWork: sim.LogNormal{MeanV: 0.012, CV: 0.25},
+// reproduction. The value is built once: its service-time distributions are
+// boxed into sim.Dist at package initialization, so filling a run's default
+// calibration allocates nothing.
+func DefaultCalibration() Calibration { return defaultCalibration }
 
-		DownloadTime:      sim.LogNormal{MeanV: 0.22, CV: 0.35},
-		DownloadCPUWeight: 0.2,
+var defaultCalibration = Calibration{
+	PreProcessWork:  sim.NewLogNormal(0.012, 0.25),
+	ProcessWork:     sim.NewLogNormal(0.035, 0.25),
+	PostProcessWork: sim.NewLogNormal(0.012, 0.25),
 
-		ExtractWork:       sim.LogNormal{MeanV: 1.0, CV: 0.12},
-		GPURate:           33.0,
-		GPUSatConcurrency: 6,
-		GPUOversubPenalty: 0.04,
-		ExtractThreadCPU:  0.9,
+	DownloadTime:      sim.NewLogNormal(0.22, 0.35),
+	DownloadCPUWeight: 0.2,
 
-		SimsearchCPUWork: sim.LogNormal{MeanV: 0.46, CV: 0.25},
-		SimsearchIOTime:  sim.LogNormal{MeanV: 0.33, CV: 0.30},
+	ExtractWork:       sim.NewLogNormal(1.0, 0.12),
+	GPURate:           33.0,
+	GPUSatConcurrency: 6,
+	GPUOversubPenalty: 0.04,
+	ExtractThreadCPU:  0.9,
 
-		GPUMemBaseGB:      1.3,
-		GPUMemPerThreadGB: 1.25,
-		SysMemBaseGB:      6,
-		SysMemPerExtract:  0.5,
-		SysMemPerThread:   0.02,
+	SimsearchCPUWork: sim.NewLogNormal(0.46, 0.25),
+	SimsearchIOTime:  sim.NewLogNormal(0.33, 0.30),
 
-		NetworkRTT: 0.004,
+	GPUMemBaseGB:      1.3,
+	GPUMemPerThreadGB: 1.25,
+	SysMemBaseGB:      6,
+	SysMemPerExtract:  0.5,
+	SysMemPerThread:   0.02,
 
-		GPUIdlePowerW:  28,
-		GPUPowerSlopeW: 55,
-		CPUIdlePowerW:  70,  // 2x Xeon Gold 6126, package idle
-		CPUPowerSlopeW: 180, // up to ~250 W at full load
-	}
+	NetworkRTT: 0.004,
+
+	GPUIdlePowerW:  28,
+	GPUPowerSlopeW: 55,
+	CPUIdlePowerW:  70,  // 2x Xeon Gold 6126, package idle
+	CPUPowerSlopeW: 180, // up to ~250 W at full load
 }
 
 // GPUMemGB returns the engine's GPU memory footprint for a configuration.

@@ -41,7 +41,9 @@ type RunOptions struct {
 	// reverse path after it, so the measured user response time includes
 	// queueing on the network. nil keeps the network out of the run — the
 	// analytical mode, where callers price the path in closed form with
-	// netem.TransferSeconds.
+	// netem.TransferSeconds. Runners, the package's idle ones included,
+	// key the links they build on this pointer: treat a model as
+	// immutable once it has been run, and build a new one to change it.
 	Network *NetworkModel
 	// Replicas is the number of engine instances, each on its own node
 	// with its own pools, CPU and GPU; clients are spread round-robin
@@ -492,6 +494,9 @@ type engine struct {
 	hw     Hardware
 	reps   []*replica
 	next   int // round-robin client-to-replica assignment
+	// submitFn is e.submit bound once per engine: a method value
+	// allocates, and a closed-loop run schedules one per client.
+	submitFn func()
 
 	net      *netState     // nil in analytical mode
 	netModel *NetworkModel // model net was built from (cache key)
@@ -613,9 +618,11 @@ func (e *engine) newRequest(rep *replica) *request {
 // replicas, pools, samplers' RNGs, the response reservoir, and the request
 // freelist across runs — the per-run setup cost that dominated
 // RunRepeated's allocation profile. A Runner is NOT safe for concurrent
-// use; RunRepeated gives each of its workers a private one. Every run's
-// output is bit-identical to a run on a fresh Runner (the reset is
-// complete), which the golden and repeat-determinism tests enforce.
+// use; each RunRepeated worker runs on its own (the receiver, or a warm
+// one borrowed from the package's idle list). Every run's output is
+// bit-identical to a run on a fresh Runner, whatever configurations the
+// Runner ran before (the reset is complete), which the golden,
+// repeat-determinism and idle-reuse tests enforce.
 type Runner struct {
 	e *engine
 	// sh holds the pooled sharded-kernel machinery (per-shard engines,
@@ -627,9 +634,17 @@ type Runner struct {
 // NewRunner returns an empty Runner; the first Run populates it.
 func NewRunner() *Runner { return &Runner{} }
 
-// Run executes one experiment and returns its metrics.
+// Run executes one experiment and returns its metrics. It borrows a warm
+// Runner from the package's idle list (at most GOMAXPROCS stay alive
+// between calls); the output is bit-identical to a fresh Runner's, and the
+// returned Metrics share no state with the Runner.
 func Run(opts RunOptions) (*Metrics, error) {
-	return NewRunner().Run(opts)
+	r := borrowRunner()
+	m, err := r.Run(opts)
+	if err == nil {
+		returnRunner(r)
+	}
+	return m, err
 }
 
 // Run executes one experiment on the runner's pooled state.
@@ -679,6 +694,7 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 			resRng: rngutil.New(opts.Seed + 101),
 		}
 		e.respRes = stats.NewReservoir(8192, e.resRng)
+		e.submitFn = e.submit
 	} else {
 		e.sim.Reset()
 		e.rng.Seed(opts.Seed)
@@ -715,7 +731,7 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 		if k <= 0 {
 			return 0
 		}
-		rate := cal.GPURate * math.Min(k, cal.GPUSatConcurrency) / cal.GPUSatConcurrency
+		rate := cal.GPURate * min(k, cal.GPUSatConcurrency) / cal.GPUSatConcurrency
 		if over := k - cal.GPUSatConcurrency; over > 0 {
 			rate /= 1 + cal.GPUOversubPenalty*over
 		}
@@ -824,7 +840,7 @@ func (e *engine) run(opts RunOptions) (*Metrics, error) {
 		// Closed-loop clients: each keeps exactly one request in flight,
 		// starting staggered over the first seconds to avoid lockstep.
 		for i := 0; i < opts.Clients; i++ {
-			se.Schedule(e.rng.Float64()*2, e.submit)
+			se.Schedule(e.rng.Float64()*2, e.submitFn)
 		}
 	}
 

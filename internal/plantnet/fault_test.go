@@ -140,11 +140,11 @@ func TestFaultedRunnerReuseBitIdentical(t *testing.T) {
 	clean := faulted
 	clean.Faults = nil
 
-	fresh1, err := Run(faulted)
+	fresh1, err := NewRunner().Run(faulted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshClean, err := Run(clean)
+	freshClean, err := NewRunner().Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}

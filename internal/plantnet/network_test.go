@@ -206,7 +206,7 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(opts)
+		want, err := NewRunner().Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

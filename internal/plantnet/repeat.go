@@ -30,21 +30,27 @@ type Repeated struct {
 // sequential execution for a fixed seed. On error, the first failure in
 // run-index order is returned.
 //
-// Each worker carries one Runner across its runs, so the per-run setup —
+// Each worker carries one warm Runner across its runs, borrowed from the
+// package's idle list (see borrowRunner), so the per-run setup —
 // simulation arena, replicas, pools, reservoir, request nodes and their
-// bound stage closures — is paid once per worker instead of once per
-// repeat. A Runner's reset is bit-complete, so the pooled execution is
+// bound stage closures — is paid once per Runner, not once per repeat or
+// per call. A Runner's reset is bit-complete, so the pooled execution is
 // byte-identical to running every repeat on a fresh engine (enforced by
-// the golden and repeat-determinism tests).
+// the golden, repeat-determinism and idle-reuse tests).
 func RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {
-	return NewRunner().RunRepeated(opts, repeats)
+	r := borrowRunner()
+	rep, err := r.RunRepeated(opts, repeats)
+	if err == nil {
+		returnRunner(r)
+	}
+	return rep, err
 }
 
 // RunRepeated is the Runner-bound form of the package-level RunRepeated:
-// the sequential path reuses the receiver's pooled state, so callers that
-// execute many RunRepeated batches (e.g. the phases of one scenario) pay
-// engine setup once. Parallel workers pool privately (a Runner is
-// single-threaded).
+// the sequential path and the first parallel worker reuse the receiver's
+// pooled state; the other workers borrow warm Runners from the idle list
+// and return them (a Runner is single-threaded, and each borrowed one
+// belongs to one worker until it is returned).
 //
 //simlint:ordered seeds are derived up front and each worker writes runs[i]/errs[i] for the indices it claims; aggregation below walks index order (determinism pinned by repeat tests)
 func (r *Runner) RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {
@@ -78,15 +84,23 @@ func (r *Runner) RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rn := NewRunner()
+				rn := r
+				if w > 0 {
+					rn = borrowRunner()
+				}
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= repeats {
-						return
+						break
 					}
 					o := opts
 					o.Seed = seeds[i]
-					runs[i], errs[i] = rn.Run(o)
+					if runs[i], errs[i] = rn.Run(o); errs[i] != nil {
+						return // drop a Runner that failed mid-run
+					}
+				}
+				if w > 0 {
+					returnRunner(rn)
 				}
 			}()
 		}
@@ -114,3 +128,38 @@ func (r *Runner) RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {
 }
 
 func isNaN(v float64) bool { return v != v }
+
+// idle holds the warm Runners that the package-level Run and RunRepeated,
+// and the parallel workers of (*Runner).RunRepeated, borrow instead of
+// building an engine per call. A borrowed Runner belongs to one goroutine
+// until it is returned. At most GOMAXPROCS Runners stay alive between
+// calls; a Runner returned to a full list is left to the GC. It is not a
+// sync.Pool because that is emptied at every GC cycle, and an optimization
+// campaign runs one every few evaluations.
+var idle struct {
+	mu      sync.Mutex
+	runners []*Runner
+}
+
+// borrowRunner takes a warm Runner off the idle list, or builds an empty one.
+func borrowRunner() *Runner {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	n := len(idle.runners)
+	if n == 0 {
+		return NewRunner()
+	}
+	r := idle.runners[n-1]
+	idle.runners[n-1] = nil
+	idle.runners = idle.runners[:n-1]
+	return r
+}
+
+// returnRunner puts r back on the idle list unless the list is full.
+func returnRunner(r *Runner) {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	if len(idle.runners) < runtime.GOMAXPROCS(0) {
+		idle.runners = append(idle.runners, r)
+	}
+}

@@ -810,7 +810,7 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	default:
 		for i := 0; i < opts.Clients; i++ {
 			de := sh.domains[sh.classOf[i%ngw]]
-			de.sim.Schedule(de.rng.Float64()*2, de.submit)
+			de.sim.Schedule(de.rng.Float64()*2, de.submitFn)
 		}
 	}
 

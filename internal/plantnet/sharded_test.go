@@ -249,7 +249,7 @@ func TestShardedRunnerReuseBitIdentical(t *testing.T) {
 		Replicas: 2, Duration: 90, Warmup: 30, Seed: 5, Shards: 4,
 		Resilience: &resilience.Policy{TimeoutSeconds: 10, Retry: &resilience.Retry{Max: 1}},
 	}
-	fresh, err := Run(opts)
+	fresh, err := NewRunner().Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -539,8 +539,9 @@ type Result struct {
 // Run executes the scenario: every workload phase (or, for a continuous
 // shape, the single piecewise-rate run) executes plantnet.RunRepeated with
 // a seed derived from `seed`, and results aggregate in phase order — the
-// Result is a pure function of (scenario, seed). One plantnet.Runner is
-// carried across the phases, so engine setup is paid once per scenario.
+// Result is a pure function of (scenario, seed). Every run borrows a warm
+// plantnet.Runner from plantnet's idle list, so engine setup is paid once
+// per Runner, not once per phase or per scenario.
 // repeatParallelism bounds the per-phase RunRepeated pool; <= 0 means
 // sequential (not GOMAXPROCS: the suite pool is the parallelism knob, and
 // nesting a repeat pool inside every suite worker would oversubscribe).
@@ -567,7 +568,6 @@ func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
 	phases := d.Workload.Expand(d.Clients(), d.DurationSeconds)
 	phaseCount := len(phases)
 	seeder := rngutil.NewSeeder(seed + 31)
-	runner := plantnet.NewRunner()
 	// One engine run per phase — or one continuous run when the shape
 	// carries queue state across its phase boundaries (or is a trace).
 	type phaseRun struct {
@@ -587,7 +587,7 @@ func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
 				// Calibration draws its probe seed before the phase seeds,
 				// so explicit-rate and calibrated scenarios stay pure
 				// functions of (spec, seed).
-				cal, err := d.calibrateRate(runner, netmod, seeder.Next())
+				cal, err := d.calibrateRate(netmod, seeder.Next())
 				if err != nil {
 					return nil, fmt.Errorf("scenario %q: calibrating rate: %w", d.Name, err)
 				}
@@ -647,7 +647,7 @@ func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
 		if fwin != nil {
 			opts.FaultTimeline = fwin[i]
 		}
-		rep, err := runner.RunRepeated(opts, d.Repeats)
+		rep, err := plantnet.RunRepeated(opts, d.Repeats)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", d.Name, err)
 		}
@@ -730,11 +730,11 @@ func (s Scenario) Run(seed int64, repeatParallelism int) (*Result, error) {
 // actually sustains: a short healthy closed-loop probe (same pools,
 // replicas, and network model; no faults) whose throughput divided by the
 // population becomes the continuous lowering's RatePerClient. The probe
-// runs on the scenario's own Runner and draws a dedicated seed, so the
-// calibrated rate — and everything downstream of it — is deterministic in
-// (spec, seed). Falls back to 0.35 req/s (the baseline engine's inverse
-// ~2.8 s cycle) if the probe completes nothing.
-func (d Scenario) calibrateRate(runner *plantnet.Runner, netmod *plantnet.NetworkModel, seed int64) (float64, error) {
+// draws a dedicated seed, so the calibrated rate — and everything
+// downstream of it — is deterministic in (spec, seed). Falls back to
+// 0.35 req/s (the baseline engine's inverse ~2.8 s cycle) if the probe
+// completes nothing.
+func (d Scenario) calibrateRate(netmod *plantnet.NetworkModel, seed int64) (float64, error) {
 	probe := plantnet.RunOptions{
 		Pools:    d.Pools,
 		Clients:  d.Clients(),
@@ -744,7 +744,7 @@ func (d Scenario) calibrateRate(runner *plantnet.Runner, netmod *plantnet.Networ
 		Warmup:   30,
 		Seed:     seed,
 	}
-	m, err := runner.Run(probe)
+	m, err := plantnet.Run(probe)
 	if err != nil {
 		return 0, err
 	}

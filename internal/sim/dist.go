@@ -43,19 +43,42 @@ func (d Uniform) Mean() float64 { return (d.Low + d.High) / 2 }
 // LogNormal is parameterized directly by its mean and the coefficient of
 // variation CV (stddev/mean), which is how service-time variability is
 // naturally specified when calibrating against measured latencies.
+//
+// A literal derives the underlying normal's parameters on every draw;
+// NewLogNormal derives them once, so build a new value rather than editing
+// MeanV or CV of a constructed one. Both forms draw bit-identical values.
 type LogNormal struct {
 	MeanV float64
 	CV    float64
+
+	mu, sigma float64 // set by NewLogNormal; sigma == 0 means "derive per draw"
+}
+
+// NewLogNormal returns a LogNormal with its per-draw constants hoisted.
+func NewLogNormal(mean, cv float64) LogNormal {
+	d := LogNormal{MeanV: mean, CV: cv}
+	if cv > 0 {
+		d.mu, d.sigma = d.params()
+	}
+	return d
+}
+
+// params returns the underlying normal's mean and standard deviation.
+func (d LogNormal) params() (mu, sigma float64) {
+	sigma2 := math.Log(1 + d.CV*d.CV)
+	return math.Log(d.MeanV) - sigma2/2, math.Sqrt(sigma2)
 }
 
 // Sample implements Dist.
 func (d LogNormal) Sample(r *rand.Rand) float64 {
+	if d.sigma > 0 {
+		return math.Exp(d.mu + d.sigma*r.NormFloat64())
+	}
 	if d.CV <= 0 {
 		return d.MeanV
 	}
-	sigma2 := math.Log(1 + d.CV*d.CV)
-	mu := math.Log(d.MeanV) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+	mu, sigma := d.params()
+	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
 // Mean implements Dist.

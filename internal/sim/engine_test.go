@@ -381,6 +381,38 @@ func TestLogNormalZeroCV(t *testing.T) {
 	}
 }
 
+// TestNewLogNormalBitIdentical: hoisting the per-draw constants changes no
+// draw. A NewLogNormal value, a literal, and the formula LogNormal used
+// before the constructor existed consume the same stream and return the
+// same bits.
+func TestNewLogNormalBitIdentical(t *testing.T) {
+	oldFormula := func(mean, cv float64, r *rand.Rand) float64 {
+		if cv <= 0 {
+			return mean
+		}
+		sigma2 := math.Log(1 + cv*cv)
+		mu := math.Log(mean) - sigma2/2
+		return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+	}
+	for _, c := range []struct{ mean, cv float64 }{
+		{0.012, 0.25}, {0.035, 0.25}, {0.22, 0.35}, {1.0, 0.12}, {0.46, 0.25}, {0.33, 0.30},
+		{2, 0}, {2, -0.5}, {3, 1e-9}, {1e-6, 4}, {1e6, 0.01},
+	} {
+		built, literal := NewLogNormal(c.mean, c.cv), LogNormal{MeanV: c.mean, CV: c.cv}
+		if built.Mean() != c.mean {
+			t.Errorf("NewLogNormal(%v, %v).Mean() = %v", c.mean, c.cv, built.Mean())
+		}
+		rb, rl, ro := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for i := 0; i < 1000; i++ {
+			b, l, o := built.Sample(rb), literal.Sample(rl), oldFormula(c.mean, c.cv, ro)
+			if math.Float64bits(b) != math.Float64bits(o) || math.Float64bits(l) != math.Float64bits(o) {
+				t.Fatalf("mean %v cv %v draw %d: constructor %x, literal %x, old formula %x",
+					c.mean, c.cv, i, math.Float64bits(b), math.Float64bits(l), math.Float64bits(o))
+			}
+		}
+	}
+}
+
 // TestReschedule covers the in-place calendar move used by SharedResource:
 // same tie semantics as cancel+schedule, no tombstone left behind.
 func TestReschedule(t *testing.T) {

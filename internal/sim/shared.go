@@ -76,7 +76,7 @@ func NewSharedResource(eng *Engine, maxRate float64, totalRate func(float64) flo
 // it. Exposed so pooled callers resetting a CPU (SharedResource.Reset
 // rebinds the curve per run) share one source of truth with NewCPU.
 func CPURate(cores float64) func(float64) float64 {
-	return func(w float64) float64 { return math.Min(w, cores) }
+	return func(w float64) float64 { return min(w, cores) }
 }
 
 // NewCPU returns a processor-sharing CPU with the given core count.
@@ -91,7 +91,7 @@ func NewGPU(eng *Engine, peak float64, ksat float64) *SharedResource {
 		if w <= 0 {
 			return 0
 		}
-		return peak * math.Min(w, ksat) / ksat
+		return peak * min(w, ksat) / ksat
 	})
 }
 
@@ -285,22 +285,31 @@ func (s *SharedResource) advance() {
 		return
 	}
 	// Completions fire in insertion order (the slice order). Survivors are
-	// compacted in place and the minimum is recomputed over them.
+	// compacted in place and the minimum is recomputed over them; a
+	// survivor is copied only once a completion has opened a gap before
+	// it, and only the dropped tail's callbacks are nilled (for the GC).
 	kept := 0
 	minRem := math.Inf(1)
-	for _, j := range s.jobs {
-		j.rem -= d
-		if j.rem <= eps {
+	for i := range s.jobs {
+		j := &s.jobs[i]
+		rem := j.rem - d
+		if rem <= eps {
 			s.eng.Schedule(0, j.onDone)
 			continue
 		}
-		if j.rem < minRem {
-			minRem = j.rem
+		if rem < minRem {
+			minRem = rem
 		}
-		s.jobs[kept] = j
+		if kept != i {
+			s.jobs[kept] = sharedJob{rem: rem, onDone: j.onDone}
+		} else {
+			j.rem = rem
+		}
 		kept++
 	}
-	clear(s.jobs[kept:])
+	for i := kept; i < len(s.jobs); i++ {
+		s.jobs[i].onDone = nil
+	}
 	s.jobs = s.jobs[:kept]
 	s.minRem = minRem
 }

@@ -77,13 +77,15 @@ gate test go test ./...
 gate race go test -race "${race_pkgs[@]}"
 # Chaos gate: the faulted and policied campaign paths — churn/crash/flap
 # hooks, resilience checkpoints (retry/hedge/breaker/failover), and the
-# availability sweep — re-run under the race detector with a real
-# (uncached) pass, since these exercise the parallel suite runner and
-# repeated-run pool against mutated engine state.
-gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|Flap|Crash|Churn' \
+# availability sweep — plus the Runner-reuse tests (idle-list Runners
+# shared across configurations and goroutines) re-run under the race
+# detector with a real (uncached) pass, since these exercise the parallel
+# suite runner and repeated-run pool against mutated engine state.
+gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|Flap|Crash|Churn|Reuse|Idle' \
     ./internal/plantnet/ ./internal/scenario/
 # Allocation-regression gate: -count=1 forces a real (uncached) run. The
 # sharded coordinator's steady-state window loop carries the same contract
-# (TestZeroAllocShardWindows).
-gate zero-alloc go test -run 'TestZeroAlloc' -count=1 ./internal/sim/ ./internal/sim/shard/
+# (TestZeroAllocShardWindows), and a warm package-level plantnet.RunRepeated
+# stays under a stated per-call bound (TestZeroAllocWarmRunRepeated).
+gate zero-alloc go test -run 'TestZeroAlloc' -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/plantnet/
 echo "verify OK"
