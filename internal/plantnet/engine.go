@@ -378,17 +378,7 @@ func (req *request) bind() {
 			e.finishResilient(req)
 			return
 		}
-		e.completed++
-		resp := e.sim.Now() - req.start
-		e.windowResp.Add(resp)
-		if e.warmupDone {
-			e.respRes.Add(resp)
-			if len(e.traces) < e.traceN {
-				e.traces = append(e.traces, RequestTrace{
-					Start: req.start, Response: resp, Tasks: req.tasks,
-				})
-			}
-		}
+		e.recordCompletion(req.start, e.sim.Now()-req.start, &req.tasks)
 		// Recycle before resubmitting so a closed-loop client reuses its
 		// own node immediately.
 		e.freeReqs = append(e.freeReqs, req)
@@ -483,8 +473,11 @@ type replica struct {
 // engine wires the replicas and runs the pipeline. One engine is reused
 // across the runs of a Runner: everything per-run is reset in
 // Runner.prepare, while the simulation arena, resource freelists, request
-// nodes (with their bound closures), RNGs, and the response reservoir
-// survive — which is what cuts the per-run setup allocations.
+// nodes (with their bound closures), RNGs, the response reservoir and the
+// sampler rows survive — which is what cuts the per-run setup allocations.
+// A run's Metrics come from mergeMetrics over the engine's rows: the
+// sequential kernel merges its one engine, the sharded kernel its core and
+// domain engines.
 type engine struct {
 	sim    *sim.Engine
 	rng    *rand.Rand
@@ -494,9 +487,11 @@ type engine struct {
 	hw     Hardware
 	reps   []*replica
 	next   int // round-robin client-to-replica assignment
-	// submitFn is e.submit bound once per engine: a method value
-	// allocates, and a closed-loop run schedules one per client.
+	// submitFn and tickFn are e.submit and e.sampleTick bound once per
+	// engine: a method value allocates, and a run schedules one per client
+	// and one per sampler tick.
 	submitFn func()
+	tickFn   func()
 
 	net      *netState     // nil in analytical mode
 	netModel *NetworkModel // model net was built from (cache key)
@@ -579,11 +574,13 @@ type engine struct {
 	shSlotFree []*shSlot
 
 	openLoop   bool
+	warmup     float64 // end of the warmup transient (RunOptions.Warmup)
 	warmupDone bool
 	completed  int
 	traceN     int
 	traces     []RequestTrace
-	windowResp stats.Welford    // responses completed in current sample window
+	windowResp stats.Welford    // responses completed in the current sample window
+	rows       []tickRow        // one per sampler tick, merged by mergeMetrics
 	respRes    *stats.Reservoir // per-request response times, post-warmup
 	qScratch   []float64        // reused quantile output buffer (see Reservoir.Quantiles)
 	taskAgg    [9]stats.Welford
@@ -695,6 +692,7 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 		}
 		e.respRes = stats.NewReservoir(8192, e.resRng)
 		e.submitFn = e.submit
+		e.tickFn = e.sampleTick
 	} else {
 		e.sim.Reset()
 		e.rng.Seed(opts.Seed)
@@ -789,7 +787,6 @@ func prepareEngine(e *engine, opts RunOptions) *engine {
 // run executes the experiment on a prepared engine.
 func (e *engine) run(opts RunOptions) (*Metrics, error) {
 	se := e.sim
-	cal, hw := e.cal, e.hw
 
 	// Fault schedule and resilience policy first: compiled and placed on
 	// the calendar before anything else, so at any shared instant —
@@ -809,215 +806,246 @@ func (e *engine) run(opts RunOptions) (*Metrics, error) {
 		}
 	}
 
-	switch {
-	case opts.Arrivals != nil:
-		// Open-loop, time-varying rate: nonhomogeneous Poisson arrivals by
-		// Lewis-Shedler thinning — candidates at the envelope rate λmax,
-		// accepted with probability λ(now)/λmax. Per candidate, the accept
-		// draw precedes the gap draw, fixing the RNG consumption order.
-		e.openLoop = true
-		rates := opts.Arrivals
-		lmax := rates.Max()
-		var arrive func()
-		arrive = func() {
-			if e.rng.Float64()*lmax < rates.At(se.Now()) {
-				e.submit()
-			}
-			se.Schedule(e.rng.ExpFloat64()/lmax, arrive)
-		}
-		se.Schedule(e.rng.ExpFloat64()/lmax, arrive)
-	case opts.OpenLoopRate > 0:
-		// Open-loop: Poisson arrivals, independent of completions.
-		e.openLoop = true
-		rate := opts.OpenLoopRate
-		var arrive func()
-		arrive = func() {
-			e.submit()
-			se.Schedule(e.rng.ExpFloat64()/rate, arrive)
-		}
-		se.Schedule(e.rng.ExpFloat64()/rate, arrive)
-	default:
+	if opts.Arrivals != nil || opts.OpenLoopRate > 0 {
+		e.startOpenArrivals(opts, 1, 1)
+	} else {
 		// Closed-loop clients: each keeps exactly one request in flight,
 		// starting staggered over the first seconds to avoid lockstep.
 		for i := 0; i < opts.Clients; i++ {
 			se.Schedule(e.rng.Float64()*2, e.submitFn)
 		}
 	}
-
-	// Metric sampler.
-	m := &Metrics{Config: opts.Pools, Clients: opts.Clients, Replicas: opts.Replicas,
-		Duration: opts.Duration, TaskTimes: make(map[string]stats.Summary)}
-	nRep := float64(opts.Replicas)
-	var (
-		lastCPUWork, lastGPUWork          float64
-		lastHTTPB, lastDLB                float64
-		lastExB, lastSSB                  float64
-		lastT                             float64
-		respW, cpuW, gpuW, hB, dB, xB, sB stats.Welford
-		gpuPW, cpuPW                      stats.Welford
-		energyJ                           float64
-		measStartT                        float64
-		measStartCompleted                int
-		measStartGood                     int64
-	)
-	gpuMem := cal.GPUMemGB(opts.Pools)
-	sysMem := cal.SysMemGB(opts.Pools)
-
-	sumCPUWork := func() float64 {
-		var s float64
-		for _, r := range e.reps {
-			s += r.cpu.WorkIntegral()
-		}
-		return s
-	}
-	sumGPUWork := func() float64 {
-		var s float64
-		for _, r := range e.reps {
-			s += r.gpu.WorkIntegral()
-		}
-		return s
-	}
-	sumBusy := func(pick func(*replica) *sim.Pool) float64 {
-		var s float64
-		for _, r := range e.reps {
-			s += pick(r).BusyIntegral()
-		}
-		return s
-	}
-
-	sampleAt := func(t float64) {
-		dt := t - lastT
-		if dt <= 0 {
-			return
-		}
-		s := Sample{Time: t, GPUMemGB: gpuMem, SysMemGB: sysMem}
-		cw := sumCPUWork()
-		s.CPUUtil = (cw - lastCPUWork) / (hw.CPUCores * nRep * dt)
-		lastCPUWork = cw
-		gw := sumGPUWork()
-		s.GPUUtil = (gw - lastGPUWork) / (cal.GPURate * nRep * dt)
-		lastGPUWork = gw
-		// Power sums over replicas (nodes); utilizations are averages.
-		s.GPUPowerW = (cal.GPUIdlePowerW + cal.GPUPowerSlopeW*s.GPUUtil) * nRep
-		s.CPUPowerW = (cal.CPUIdlePowerW + cal.CPUPowerSlopeW*s.CPUUtil) * nRep
-		hb := sumBusy(func(r *replica) *sim.Pool { return r.http })
-		db := sumBusy(func(r *replica) *sim.Pool { return r.dl })
-		xb := sumBusy(func(r *replica) *sim.Pool { return r.ex })
-		sb := sumBusy(func(r *replica) *sim.Pool { return r.ss })
-		s.HTTPBusy = (hb - lastHTTPB) / (float64(opts.Pools.HTTP) * nRep * dt)
-		s.DownloadBusy = (db - lastDLB) / (float64(opts.Pools.Download) * nRep * dt)
-		s.ExtractBusy = (xb - lastExB) / (float64(opts.Pools.Extract) * nRep * dt)
-		s.SimsearchBusy = (sb - lastSSB) / (float64(opts.Pools.Simsearch) * nRep * dt)
-		lastHTTPB, lastDLB, lastExB, lastSSB = hb, db, xb, sb
-		if e.windowResp.N() > 0 {
-			s.RespTime = e.windowResp.Mean()
-			s.Throughput = float64(e.windowResp.N()) / dt
-		} else {
-			s.RespTime = math.NaN()
-		}
-		e.windowResp = stats.Welford{}
-		lastT = t
-
-		// Adaptive hedge delay: re-derive the launch threshold from the
-		// live post-warmup response distribution once enough samples
-		// accumulated (cold path, once per sample interval).
-		if e.resOn && e.resHedgeQ > 0 && e.respRes.N() >= resilience.HedgeMinSamples {
-			e.qScratch = e.respRes.Quantiles(e.qScratch[:0], e.resHedgeQ)
-			e.resHedgeDelay = e.qScratch[0]
-		}
-		if t > opts.Warmup {
-			if !e.warmupDone {
-				e.warmupDone = true
-				measStartT = t
-				measStartCompleted = e.completed
-				measStartGood = e.goodDone
-			} else {
-				// Aggregate post-warmup samples.
-				if !math.IsNaN(s.RespTime) {
-					respW.Add(s.RespTime)
-				}
-				cpuW.Add(s.CPUUtil)
-				gpuW.Add(s.GPUUtil)
-				gpuPW.Add(s.GPUPowerW)
-				cpuPW.Add(s.CPUPowerW)
-				energyJ += (s.GPUPowerW + s.CPUPowerW) * dt
-				hB.Add(s.HTTPBusy)
-				dB.Add(s.DownloadBusy)
-				xB.Add(s.ExtractBusy)
-				sB.Add(s.SimsearchBusy)
-				m.Samples = append(m.Samples, s)
-			}
-		}
-	}
-	// One shared tick closure for every sampling instant: At stores the
-	// exact tick time and Now() returns it bit-for-bit inside the event,
-	// so hoisting the per-tick closures out of the loop changes no output
-	// (it removes ~2 allocations per simulated sample interval).
-	tick := func() { sampleAt(se.Now()) }
-	for t := opts.SampleInterval; t <= opts.Duration+1e-9; t += opts.SampleInterval {
-		se.At(t, tick)
-	}
-
+	e.scheduleTicks(opts)
 	se.Run(opts.Duration)
 
-	m.Completed = e.completed
-	m.UserResponseTime = respW.Snapshot()
+	m := mergeMetrics(opts, []*engine{e})
 	if e.respRes.N() > 0 {
 		e.qScratch = e.respRes.Quantiles(e.qScratch[:0], 0.50, 0.95, 0.99)
 		m.RespP50, m.RespP95, m.RespP99 = e.qScratch[0], e.qScratch[1], e.qScratch[2]
 	}
+	m.Traces = e.traces
+	return m, nil
+}
+
+// startOpenArrivals starts the engine's open-loop arrival process, carrying
+// the share gateways/ngw of the run's demand: a Poisson process at that
+// share of OpenLoopRate, or, under an Arrivals profile, a nonhomogeneous
+// Poisson process by Lewis-Shedler thinning — candidates at that share of
+// the envelope rate λmax, each accepted with probability λ(now)/λmax, the
+// accept draw preceding the gap draw. The sequential kernel passes (1, 1),
+// which leaves the rates exact; a sharded domain passes its gateway count.
+func (e *engine) startOpenArrivals(opts RunOptions, gateways, ngw int) {
+	e.openLoop = true
+	se := e.sim
+	var arrive func()
+	if rates := opts.Arrivals; rates != nil {
+		lmax := rates.Max()
+		ld := lmax * float64(gateways) / float64(ngw)
+		arrive = func() {
+			if e.rng.Float64()*lmax < rates.At(se.Now()) {
+				e.submit()
+			}
+			se.Schedule(e.rng.ExpFloat64()/ld, arrive)
+		}
+		se.Schedule(e.rng.ExpFloat64()/ld, arrive)
+		return
+	}
+	rate := opts.OpenLoopRate * float64(gateways) / float64(ngw)
+	arrive = func() {
+		e.submit()
+		se.Schedule(e.rng.ExpFloat64()/rate, arrive)
+	}
+	se.Schedule(e.rng.ExpFloat64()/rate, arrive)
+}
+
+// tickRow is one engine's sampler snapshot at one tick: the resource
+// integrals summed over the engine's own replicas, the completion window
+// that the tick closed, and the running completion counts.
+type tickRow struct {
+	t                          float64
+	cpuW, gpuW, hB, dB, xB, sB float64
+	resp                       stats.Welford
+	completed                  int
+	good                       int64
+}
+
+// scheduleTicks places the engine's sampler ticks on its calendar, every
+// SampleInterval up to the horizon. Callers schedule them after the
+// arrival process, which fixes their order among same-instant events.
+func (e *engine) scheduleTicks(opts RunOptions) {
+	e.warmup = opts.Warmup
+	e.rows = e.rows[:0]
+	for t := opts.SampleInterval; t <= opts.Duration+1e-9; t += opts.SampleInterval {
+		e.sim.At(t, e.tickFn)
+	}
+}
+
+// sampleTick is the sampler tick: it appends the engine's row, opens the
+// next completion window, re-derives the adaptive hedge delay from the
+// live post-warmup response distribution once enough samples accumulated,
+// and ends warmup at the first tick past it.
+func (e *engine) sampleTick() {
+	row := tickRow{t: e.sim.Now(), resp: e.windowResp, completed: e.completed, good: e.goodDone}
+	for _, r := range e.reps {
+		row.cpuW += r.cpu.WorkIntegral()
+		row.gpuW += r.gpu.WorkIntegral()
+		row.hB += r.http.BusyIntegral()
+		row.dB += r.dl.BusyIntegral()
+		row.xB += r.ex.BusyIntegral()
+		row.sB += r.ss.BusyIntegral()
+	}
+	e.rows = append(e.rows, row)
+	e.windowResp = stats.Welford{}
+	if e.resOn && e.resHedgeQ > 0 && e.respRes.N() >= resilience.HedgeMinSamples {
+		e.qScratch = e.respRes.Quantiles(e.qScratch[:0], e.resHedgeQ)
+		e.resHedgeDelay = e.qScratch[0]
+	}
+	if row.t > e.warmup {
+		e.warmupDone = true
+	}
+}
+
+// mergeMetrics builds a run's Metrics from its engines' sampler rows and
+// counters: every Sample, the post-warmup aggregates, energy, throughput,
+// goodput, availability, task times and the outcome counters. At each
+// tick it sums the engines' integrals and merges their completion windows
+// in order. The sequential kernel passes its one engine; the sharded one
+// passes [core, domains...], whose domains hold no replicas and whose core
+// completes nothing, so both sums are exact. Response percentiles and
+// traces are left to the caller: each family samples them its own way.
+func mergeMetrics(opts RunOptions, engines []*engine) *Metrics {
+	m := &Metrics{Config: opts.Pools, Clients: opts.Clients, Replicas: opts.Replicas,
+		Duration: opts.Duration, TaskTimes: make(map[string]stats.Summary)}
+	cal, hw := opts.Cal, opts.Hardware
+	nRep := float64(opts.Replicas)
+	m.GPUMemGB = cal.GPUMemGB(opts.Pools)
+	m.SysMemGB = cal.SysMemGB(opts.Pools)
+	var (
+		last                              tickRow
+		respW, cpuW, gpuW, hB, dB, xB, sB stats.Welford
+		gpuPW, cpuPW                      stats.Welford
+		energyJ                           float64
+		warm                              bool
+		measStartT                        float64
+		measStartCompleted                int
+		measStartGood                     int64
+	)
+	for i := range engines[0].rows {
+		row := tickRow{t: engines[0].rows[i].t}
+		for _, e := range engines {
+			r := &e.rows[i]
+			row.cpuW += r.cpuW
+			row.gpuW += r.gpuW
+			row.hB += r.hB
+			row.dB += r.dB
+			row.xB += r.xB
+			row.sB += r.sB
+			row.resp.Merge(r.resp)
+			row.completed += r.completed
+			row.good += r.good
+		}
+		t, dt := row.t, row.t-last.t
+		s := Sample{Time: t, GPUMemGB: m.GPUMemGB, SysMemGB: m.SysMemGB}
+		s.CPUUtil = (row.cpuW - last.cpuW) / (hw.CPUCores * nRep * dt)
+		s.GPUUtil = (row.gpuW - last.gpuW) / (cal.GPURate * nRep * dt)
+		// Power sums over replicas (nodes); utilizations are averages.
+		s.GPUPowerW = (cal.GPUIdlePowerW + cal.GPUPowerSlopeW*s.GPUUtil) * nRep
+		s.CPUPowerW = (cal.CPUIdlePowerW + cal.CPUPowerSlopeW*s.CPUUtil) * nRep
+		s.HTTPBusy = (row.hB - last.hB) / (float64(opts.Pools.HTTP) * nRep * dt)
+		s.DownloadBusy = (row.dB - last.dB) / (float64(opts.Pools.Download) * nRep * dt)
+		s.ExtractBusy = (row.xB - last.xB) / (float64(opts.Pools.Extract) * nRep * dt)
+		s.SimsearchBusy = (row.sB - last.sB) / (float64(opts.Pools.Simsearch) * nRep * dt)
+		if row.resp.N() > 0 {
+			s.RespTime = row.resp.Mean()
+			s.Throughput = float64(row.resp.N()) / dt
+		} else {
+			s.RespTime = math.NaN()
+		}
+		last = row
+		if t <= opts.Warmup {
+			continue
+		}
+		if !warm {
+			warm = true
+			measStartT, measStartCompleted, measStartGood = t, row.completed, row.good
+			continue
+		}
+		// Aggregate post-warmup samples.
+		if !math.IsNaN(s.RespTime) {
+			respW.Add(s.RespTime)
+		}
+		cpuW.Add(s.CPUUtil)
+		gpuW.Add(s.GPUUtil)
+		gpuPW.Add(s.GPUPowerW)
+		cpuPW.Add(s.CPUPowerW)
+		energyJ += (s.GPUPowerW + s.CPUPowerW) * dt
+		hB.Add(s.HTTPBusy)
+		dB.Add(s.DownloadBusy)
+		xB.Add(s.ExtractBusy)
+		sB.Add(s.SimsearchBusy)
+		m.Samples = append(m.Samples, s)
+	}
+
+	var good int64
+	for _, e := range engines {
+		m.Completed += e.completed
+		good += e.goodDone
+		if e.net != nil {
+			for _, l := range e.net.links {
+				m.NetDelivered += l.Delivered()
+				m.NetRetransmits += l.Retransmits()
+			}
+		}
+		m.GatewayFailures += e.cGatewayFail
+		m.CrashRequeues += e.cCrashReq
+		m.CrashFailures += e.cCrashFail
+		m.DroppedArrivals += e.cDropped
+		m.Retries += e.cRetries
+		m.RetrySuccesses += e.cRetrySucc
+		m.Hedges += e.cHedges
+		m.HedgeWins += e.cHedgeWins
+		m.Rerouted += e.cRerouted
+		m.Shed += e.cShed
+		m.BreakerOpens += e.cBrkOpens
+		m.DeadlineExceeded += e.cDeadline
+		m.FailedRequests += e.cFailed
+	}
+	for i, name := range TaskNames {
+		var w stats.Welford
+		for _, e := range engines {
+			w.Merge(e.taskAgg[i])
+		}
+		m.TaskTimes[name] = w.Snapshot()
+	}
+	m.UserResponseTime = respW.Snapshot()
 	m.CPUUtil = cpuW.Snapshot()
 	m.GPUUtil = gpuW.Snapshot()
 	m.GPUPowerW = gpuPW.Snapshot()
 	m.CPUPowerW = cpuPW.Snapshot()
-	if measured := e.completed - measStartCompleted; measured > 0 {
-		m.EnergyPerRequestJ = energyJ / float64(measured)
-	}
 	m.HTTPBusy = hB.Snapshot()
 	m.DownloadBusy = dB.Snapshot()
 	m.ExtractBusy = xB.Snapshot()
 	m.SimsearchBusy = sB.Snapshot()
-	m.GPUMemGB = gpuMem
-	m.SysMemGB = sysMem
-	if span := se.Now() - measStartT; span > 0 && e.warmupDone {
-		m.Throughput = float64(e.completed-measStartCompleted) / span
+	if measured := m.Completed - measStartCompleted; measured > 0 {
+		m.EnergyPerRequestJ = energyJ / float64(measured)
 	}
-	for i, name := range TaskNames {
-		m.TaskTimes[name] = e.taskAgg[i].Snapshot()
+	span := opts.Duration - measStartT
+	if span > 0 && warm {
+		m.Throughput = float64(m.Completed-measStartCompleted) / span
 	}
-	m.Traces = e.traces
-	if e.net != nil {
-		for _, l := range e.net.links {
-			m.NetDelivered += l.Delivered()
-			m.NetRetransmits += l.Retransmits()
-		}
-	}
-	m.GatewayFailures = e.cGatewayFail
-	m.CrashRequeues = e.cCrashReq
-	m.CrashFailures = e.cCrashFail
-	m.DroppedArrivals = e.cDropped
-	m.Retries = e.cRetries
-	m.RetrySuccesses = e.cRetrySucc
-	m.Hedges = e.cHedges
-	m.HedgeWins = e.cHedgeWins
-	m.Rerouted = e.cRerouted
-	m.Shed = e.cShed
-	m.BreakerOpens = e.cBrkOpens
-	m.DeadlineExceeded = e.cDeadline
-	m.FailedRequests = e.cFailed
-	if tot := int64(e.completed) + e.cFailed; tot > 0 {
-		m.AvailabilityFraction = float64(int64(e.completed)) / float64(tot)
+	if tot := int64(m.Completed) + m.FailedRequests; tot > 0 {
+		m.AvailabilityFraction = float64(int64(m.Completed)) / float64(tot)
 	} else {
 		m.AvailabilityFraction = 1
 	}
 	m.Goodput = m.Throughput
-	if e.resOn {
+	if engines[0].resOn {
 		m.Goodput = 0
-		if span := se.Now() - measStartT; span > 0 && e.warmupDone {
-			m.Goodput = float64(e.goodDone-measStartGood) / span
+		if span > 0 && warm {
+			m.Goodput = float64(good-measStartGood) / span
 		}
 	}
-	return m, nil
+	return m
 }
 
 // submit issues one request, assigned round-robin to a replica (and, in
@@ -1053,6 +1081,22 @@ func (e *engine) submit() {
 	}
 	// Client -> engine network half-RTT.
 	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
+}
+
+// recordCompletion is the completion accounting both finish paths share:
+// the count and the sampler window, and after warmup the response
+// reservoir and the trace of the first TraceRequests completions.
+//
+//simlint:noalloc completion accounting (request hot path)
+func (e *engine) recordCompletion(start, resp float64, tasks *[9]float64) {
+	e.completed++
+	e.windowResp.Add(resp)
+	if e.warmupDone {
+		e.respRes.Add(resp)
+		if len(e.traces) < e.traceN {
+			e.traces = append(e.traces, RequestTrace{Start: start, Response: resp, Tasks: *tasks})
+		}
+	}
 }
 
 // rec records the duration of task idx and resets the task clock.

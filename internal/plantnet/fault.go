@@ -20,19 +20,50 @@ import (
 )
 
 // setupFaults validates the spec against the prepared topology, compiles
-// the timeline, and schedules it. Called from run() on a prepared engine.
+// the timeline (or takes FaultTimeline verbatim), and schedules it. Called
+// from run() on a prepared engine.
 func (e *engine) setupFaults(opts RunOptions) error {
+	if err := validateFaultTargets(opts, e.netModel, len(e.reps)); err != nil {
+		return err
+	}
+	evs := opts.FaultTimeline
+	if evs == nil {
+		ngw := 0
+		if e.net != nil {
+			ngw = len(e.net.paths)
+		}
+		evs = fault.CompileInto(e.faultEvents, opts.Faults, opts.Seed+307, opts.Duration, ngw)
+	}
+	installFaults(e, evs, opts.Seed, len(e.reps), true)
+	return nil
+}
+
+// validateFaultTargets checks the fault spec and the fault timeline against
+// the run's topology: nm is the simulated network (nil in analytical mode)
+// and replicas the replica count. Both kernels validate the GLOBAL
+// topology with it, so a schedule fails with the same message whatever
+// Shards is.
+func validateFaultTargets(opts RunOptions, nm *NetworkModel, replicas int) error {
 	spec := opts.Faults
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	ngw := 0
-	if e.net != nil {
-		ngw = len(e.net.paths)
+	ngw, hasBackhaul := 0, false
+	if nm != nil {
+		for _, c := range nm.Classes {
+			ngw += c.Gateways
+		}
+		// The backhaul exists exactly when one of its specs is non-zero.
+		for _, l := range nm.BackhaulUp {
+			hasBackhaul = hasBackhaul || !l.IsZero()
+		}
+		for _, l := range nm.BackhaulDown {
+			hasBackhaul = hasBackhaul || !l.IsZero()
+		}
 	}
 	checkLinkTarget := func(g int, what string) error {
 		if g == fault.Backhaul {
-			if len(e.net.backhaul) == 0 {
+			if !hasBackhaul {
 				return fmt.Errorf("plantnet: %s targets the backhaul, but the model has no backhaul links", what)
 			}
 			return nil
@@ -40,21 +71,30 @@ func (e *engine) setupFaults(opts RunOptions) error {
 		if g >= ngw {
 			return fmt.Errorf("plantnet: %s targets gateway %d of %d", what, g, ngw)
 		}
-		if own := e.net.own[g]; own[0] == nil && own[1] == nil {
-			return fmt.Errorf("plantnet: %s targets gateway %d, whose class has no dedicated uplink", what, g)
+		// A gateway has dedicated links exactly when its class's specs
+		// are non-zero.
+		k := g
+		for _, c := range nm.Classes {
+			if k < c.Gateways {
+				if c.Up.IsZero() && c.Down.IsZero() {
+					return fmt.Errorf("plantnet: %s targets gateway %d, whose class has no dedicated uplink", what, g)
+				}
+				break
+			}
+			k -= c.Gateways
 		}
 		return nil
 	}
 	if !spec.IsZero() {
-		if spec.GatewayChurn != nil && e.net == nil {
+		if spec.GatewayChurn != nil && nm == nil {
 			return fmt.Errorf("plantnet: gateway churn requires a simulated network model")
 		}
-		if (len(spec.LinkFlaps) > 0 || len(spec.LinkSchedule) > 0) && e.net == nil {
+		if (len(spec.LinkFlaps) > 0 || len(spec.LinkSchedule) > 0) && nm == nil {
 			return fmt.Errorf("plantnet: link flaps/schedules require a simulated network model")
 		}
 		for _, cr := range spec.ReplicaCrashes {
-			if cr.Replica >= len(e.reps) {
-				return fmt.Errorf("plantnet: crash targets replica %d of %d", cr.Replica, len(e.reps))
+			if cr.Replica >= replicas {
+				return fmt.Errorf("plantnet: crash targets replica %d of %d", cr.Replica, replicas)
 			}
 		}
 		for _, f := range spec.LinkFlaps {
@@ -68,49 +108,55 @@ func (e *engine) setupFaults(opts RunOptions) error {
 			}
 		}
 	}
-
-	if opts.FaultTimeline != nil {
-		// A pre-compiled window of a wall-clock timeline (fault.Windows)
-		// or an explicit test schedule: validate targets, schedule
-		// verbatim.
-		for i := range opts.FaultTimeline {
-			ev := &opts.FaultTimeline[i]
-			switch ev.Kind {
-			case fault.GatewayLeave, fault.GatewayJoin:
-				if e.net == nil || ev.Target >= ngw {
-					return fmt.Errorf("plantnet: timeline event %d targets gateway %d of %d", i, ev.Target, ngw)
-				}
-			case fault.ReplicaCrash, fault.ReplicaRecover:
-				if ev.Target >= len(e.reps) {
-					return fmt.Errorf("plantnet: timeline event %d targets replica %d of %d", i, ev.Target, len(e.reps))
-				}
-			case fault.LinkDown, fault.LinkUp, fault.LinkSet:
-				if e.net == nil {
-					return fmt.Errorf("plantnet: timeline event %d needs a simulated network model", i)
-				}
-				if err := checkLinkTarget(ev.Target, "timeline event"); err != nil {
-					return err
-				}
+	for i := range opts.FaultTimeline {
+		ev := &opts.FaultTimeline[i]
+		switch ev.Kind {
+		case fault.GatewayLeave, fault.GatewayJoin:
+			if nm == nil || ev.Target >= ngw {
+				return fmt.Errorf("plantnet: timeline event %d targets gateway %d of %d", i, ev.Target, ngw)
+			}
+		case fault.ReplicaCrash, fault.ReplicaRecover:
+			if ev.Target >= replicas {
+				return fmt.Errorf("plantnet: timeline event %d targets replica %d of %d", i, ev.Target, replicas)
+			}
+		case fault.LinkDown, fault.LinkUp, fault.LinkSet:
+			if nm == nil {
+				return fmt.Errorf("plantnet: timeline event %d needs a simulated network model", i)
+			}
+			if err := checkLinkTarget(ev.Target, "timeline event"); err != nil {
+				return err
 			}
 		}
-		e.faultEvents = append(e.faultEvents[:0], opts.FaultTimeline...)
-	} else {
-		e.faultEvents = fault.CompileInto(e.faultEvents, spec, opts.Seed+307, opts.Duration, ngw)
 	}
-	if e.faultRng == nil {
-		e.faultRng = rngutil.New(opts.Seed + 313)
-	} else {
-		e.faultRng.Seed(opts.Seed + 313)
+	return nil
+}
+
+// installFaults schedules an engine's fault timeline: events are placed on
+// the calendar before arrivals and sampler ticks, so at any shared instant
+// they fire first. replicas sizes the liveness mirror (a sharded domain
+// tracks the GLOBAL replica count; its own reps slice is empty), and
+// withRng seeds the failover-delay stream of an engine that owns replicas.
+func installFaults(e *engine, evs []fault.Event, seed int64, replicas int, withRng bool) {
+	e.faultEvents = append(e.faultEvents[:0], evs...)
+	ngw := 0
+	if e.net != nil {
+		ngw = len(e.net.paths)
 	}
 	e.gwDown = resetBools(e.gwDown, ngw)
-	e.repDown = resetBools(e.repDown, len(e.reps))
+	e.repDown = resetBools(e.repDown, replicas)
+	if withRng {
+		if e.faultRng == nil {
+			e.faultRng = rngutil.New(seed + 313)
+		} else {
+			e.faultRng.Seed(seed + 313)
+		}
+	}
 	if e.faultStepFn == nil {
 		e.faultStepFn = e.faultStep
 	}
 	for i := range e.faultEvents {
 		e.sim.At(e.faultEvents[i].At, e.faultStepFn)
 	}
-	return nil
 }
 
 // resetBools returns a length-n all-false slice reusing b's capacity.

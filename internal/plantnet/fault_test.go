@@ -269,3 +269,56 @@ func TestPacketModeNetwork(t *testing.T) {
 	}
 	assertSameRun(t, mp, mp2)
 }
+
+// TestFaultValidationSameOnBothKernels: one validator checks fault targets
+// against the global topology, so every rejected schedule fails with the
+// same message on the sequential kernel (Shards: 0) and the sharded one
+// (Shards: 2).
+func TestFaultValidationSameOnBothKernels(t *testing.T) {
+	full := shardedNetModel(false) // gateways 0-2 and 3-4, a backhaul
+	noBackhaul := shardedNetModel(false)
+	noBackhaul.BackhaulUp, noBackhaul.BackhaulDown = nil, []netem.LinkSpec{{}}
+	shared := shardedNetModel(false)
+	shared.Classes[1].Up, shared.Classes[1].Down = netem.LinkSpec{}, netem.LinkSpec{}
+	noFaults := &fault.Spec{}
+	cases := []struct {
+		name     string
+		nm       *NetworkModel
+		faults   *fault.Spec
+		timeline []fault.Event
+		want     string
+	}{
+		{"invalid spec", full, &fault.Spec{GatewayChurn: &fault.Churn{MeanUpSeconds: -1, MeanDownSeconds: 5}}, nil,
+			"fault: gateway churn means must be > 0 (got up -1, down 5)"},
+		{"crash replica", full, &fault.Spec{ReplicaCrashes: []fault.Crash{{Replica: 2, AtSeconds: 5}}}, nil,
+			"plantnet: crash targets replica 2 of 2"},
+		{"flap gateway", full, &fault.Spec{LinkFlaps: []fault.Flap{{Gateway: 5, DownSeconds: 1}}}, nil,
+			"plantnet: link flap targets gateway 5 of 5"},
+		{"flap backhaul", noBackhaul, &fault.Spec{LinkFlaps: []fault.Flap{{Gateway: fault.Backhaul, DownSeconds: 1}}}, nil,
+			"plantnet: link flap targets the backhaul, but the model has no backhaul links"},
+		{"transition shared class", shared, &fault.Spec{LinkSchedule: []fault.Transition{{Gateway: 3, DelayMS: -1, LossPct: -1}}}, nil,
+			"plantnet: link transition targets gateway 3, whose class has no dedicated uplink"},
+		{"timeline gateway", full, noFaults, []fault.Event{{Kind: fault.GatewayLeave, At: 1, Target: 7}}, "plantnet: timeline event 0 targets gateway 7 of 5"},
+		{"timeline replica", full, noFaults, []fault.Event{
+			{Kind: fault.GatewayLeave, At: 1, Target: 4},
+			{Kind: fault.ReplicaCrash, At: 2, Target: 3},
+		}, "plantnet: timeline event 1 targets replica 3 of 2"},
+		{"timeline link", full, noFaults, []fault.Event{{Kind: fault.LinkDown, At: 1, Target: 9}},
+			"plantnet: timeline event targets gateway 9 of 5"},
+		{"timeline backhaul", noBackhaul, noFaults, []fault.Event{{Kind: fault.LinkDown, At: 1, Target: fault.Backhaul}},
+			"plantnet: timeline event targets the backhaul, but the model has no backhaul links"},
+		{"timeline shared class", shared, noFaults, []fault.Event{{Kind: fault.LinkSet, At: 1, Target: 4}},
+			"plantnet: timeline event targets gateway 4, whose class has no dedicated uplink"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, shards := range []int{0, 2} {
+				_, err := NewRunner().Run(RunOptions{Pools: Baseline, Clients: 4, Replicas: 2, Duration: 20, Seed: 1,
+					Network: c.nm, Faults: c.faults, FaultTimeline: c.timeline, Shards: shards})
+				if err == nil || err.Error() != c.want {
+					t.Errorf("Shards=%d: error %v, want %q", shards, err, c.want)
+				}
+			}
+		})
+	}
+}

@@ -147,11 +147,11 @@ func TestIdleRunnerReuseAcrossConfigs(t *testing.T) {
 
 // warmRunRepeatedAllocs bounds one warm package-level RunRepeated call of
 // two sequential paper-length (1380 s) repeats: the Metrics, sample slices
-// and task-time map handed to the caller, the per-run sampler closures and
-// the Repeated itself. That is about 47 per run (94 per call on amd64,
-// go1.24), independent of the client and request counts; a cold call,
-// which builds the engine, allocates thousands.
-const warmRunRepeatedAllocs = 120
+// and task-time map handed to the caller and the Repeated itself. That is
+// 40 per call on amd64, go1.24, independent of the client, request and
+// sampler-tick counts; a cold call, which builds the engine, allocates
+// thousands.
+const warmRunRepeatedAllocs = 60
 
 func TestZeroAllocWarmRunRepeated(t *testing.T) {
 	opts := RunOptions{Pools: Baseline, Clients: 80, Duration: 1380, Seed: 3, MaxParallel: 1}

@@ -452,20 +452,11 @@ func (e *engine) finishResilient(req *request) {
 		e.cRetrySucc++
 	}
 	e.brkOk(req.repIdx)
-	e.completed++
 	resp := e.sim.Now() - p.start
 	if resp <= e.resTimeout {
 		e.goodDone++
 	}
-	e.windowResp.Add(resp)
-	if e.warmupDone {
-		e.respRes.Add(resp)
-		if len(e.traces) < e.traceN {
-			e.traces = append(e.traces, RequestTrace{
-				Start: p.start, Response: resp, Tasks: req.tasks,
-			})
-		}
-	}
+	e.recordCompletion(p.start, resp, &req.tasks)
 	// Recycle before resubmitting so a closed-loop client reuses its own
 	// node immediately (matching the unpolicied finish).
 	e.resolveArm(req)

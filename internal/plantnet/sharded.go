@@ -36,10 +36,8 @@ import (
 
 	"e2clab/internal/fault"
 	"e2clab/internal/netem"
-	"e2clab/internal/resilience"
 	"e2clab/internal/rngutil"
 	"e2clab/internal/sim/shard"
-	"e2clab/internal/stats"
 )
 
 // Engine roles in a sharded run.
@@ -364,23 +362,10 @@ func (e *engine) repCount() int {
 	return len(e.reps)
 }
 
-// domRow is one domain's per-tick sampler snapshot; coreRow the core's raw
-// resource integrals. The merge in finalize replays the sequential
-// sampler's arithmetic over them.
-type domRow struct {
-	resp      stats.Welford
-	completed int
-	good      int64
-}
-
-type coreRow struct {
-	cpuW, gpuW, hB, dB, xB, sB float64
-}
-
 // shardedState is a Runner's pooled sharded-run machinery: the derived
 // per-role network models, the per-role engines, the coordinator, and the
-// reusable fault-routing and sampler-row buffers. Rebuilt when the source
-// model pointer or the hoisting decision changes, reused otherwise.
+// reusable fault-routing buffers. Rebuilt when the source model pointer or
+// the hoisting decision changes, reused otherwise.
 type shardedState struct {
 	src                    *NetworkModel
 	upHoisted, downHoisted bool
@@ -390,18 +375,16 @@ type shardedState struct {
 	classOf   []int32 // global gateway -> domain index
 	classLo   []int32 // domain -> first global gateway index
 
+	// engines is [core, domains...], the order mergeMetrics folds them in;
+	// domains is its tail.
+	engines []*engine
 	domains []*engine
-	core    *engine
 	nodes   []shard.Node
 	coord   *shard.Coordinator
 
 	faultBuf []fault.Event   // compiled global timeline (buffer reused)
 	evDom    [][]fault.Event // per-domain routed events (local gateway targets)
 	evCore   []fault.Event
-
-	domRows  [][]domRow
-	coreRows []coreRow
-	ticks    []float64
 }
 
 // backhaulFaulted reports whether the run schedules any backhaul link
@@ -525,90 +508,28 @@ func newShardedState(nm *NetworkModel, upHoisted, downHoisted bool) *shardedStat
 		core.Classes[d] = NetworkClass{Gateways: c.Gateways} // zero specs: elided, paths alias the backhaul only
 	}
 	sh.coreModel = core
-	sh.domains = make([]*engine, D)
+	sh.engines = make([]*engine, D+1)
+	sh.domains = sh.engines[1:]
 	sh.evDom = make([][]fault.Event, D)
-	sh.domRows = make([][]domRow, D)
 	return sh
 }
 
 // routeFaults validates the fault schedule against the GLOBAL topology
-// (mirroring setupFaults), compiles it once with the sequential kernel's
-// stream (Seed+307 over the global gateway count), and routes each event:
-// gateway and non-backhaul link events to their owning domain (with local
-// gateway targets; gateway churn also mirrors globally to the core, which
-// fails in-flight crossings), replica events to the core (full crash
-// semantics) and to every domain (liveness mirror), backhaul link events to
-// the core.
+// (with the sequential kernel's checks), compiles it once with the
+// sequential kernel's stream (Seed+307 over the global gateway count), and
+// routes each event: gateway and non-backhaul link events to their owning
+// domain (with local gateway targets; gateway churn also mirrors globally
+// to the core, which fails in-flight crossings), replica events to the core
+// (full crash semantics) and to every domain (liveness mirror), backhaul
+// link events to the core.
 func (sh *shardedState) routeFaults(opts RunOptions, ngw int) error {
-	spec := opts.Faults
-	if err := spec.Validate(); err != nil {
+	if err := validateFaultTargets(opts, sh.src, opts.Replicas); err != nil {
 		return err
 	}
-	nm := sh.src
-	hasBackhaul := false
-	for _, s := range nm.BackhaulUp {
-		if !s.IsZero() {
-			hasBackhaul = true
-		}
-	}
-	for _, s := range nm.BackhaulDown {
-		if !s.IsZero() {
-			hasBackhaul = true
-		}
-	}
-	checkLinkTarget := func(g int, what string) error {
-		if g == fault.Backhaul {
-			if !hasBackhaul {
-				return fmt.Errorf("plantnet: %s targets the backhaul, but the model has no backhaul links", what)
-			}
-			return nil
-		}
-		if g >= ngw {
-			return fmt.Errorf("plantnet: %s targets gateway %d of %d", what, g, ngw)
-		}
-		if c := nm.Classes[sh.classOf[g]]; c.Up.IsZero() && c.Down.IsZero() {
-			return fmt.Errorf("plantnet: %s targets gateway %d, whose class has no dedicated uplink", what, g)
-		}
-		return nil
-	}
-	if !spec.IsZero() {
-		for _, cr := range spec.ReplicaCrashes {
-			if cr.Replica >= opts.Replicas {
-				return fmt.Errorf("plantnet: crash targets replica %d of %d", cr.Replica, opts.Replicas)
-			}
-		}
-		for _, f := range spec.LinkFlaps {
-			if err := checkLinkTarget(f.Gateway, "link flap"); err != nil {
-				return err
-			}
-		}
-		for _, tr := range spec.LinkSchedule {
-			if err := checkLinkTarget(tr.Gateway, "link transition"); err != nil {
-				return err
-			}
-		}
-	}
 	if opts.FaultTimeline != nil {
-		for i := range opts.FaultTimeline {
-			ev := &opts.FaultTimeline[i]
-			switch ev.Kind {
-			case fault.GatewayLeave, fault.GatewayJoin:
-				if ev.Target >= ngw {
-					return fmt.Errorf("plantnet: timeline event %d targets gateway %d of %d", i, ev.Target, ngw)
-				}
-			case fault.ReplicaCrash, fault.ReplicaRecover:
-				if ev.Target >= opts.Replicas {
-					return fmt.Errorf("plantnet: timeline event %d targets replica %d of %d", i, ev.Target, opts.Replicas)
-				}
-			case fault.LinkDown, fault.LinkUp, fault.LinkSet:
-				if err := checkLinkTarget(ev.Target, "timeline event"); err != nil {
-					return err
-				}
-			}
-		}
 		sh.faultBuf = append(sh.faultBuf[:0], opts.FaultTimeline...)
 	} else {
-		sh.faultBuf = fault.CompileInto(sh.faultBuf, spec, opts.Seed+307, opts.Duration, ngw)
+		sh.faultBuf = fault.CompileInto(sh.faultBuf, opts.Faults, opts.Seed+307, opts.Duration, ngw)
 	}
 	for d := range sh.evDom {
 		sh.evDom[d] = sh.evDom[d][:0]
@@ -639,30 +560,6 @@ func (sh *shardedState) routeFaults(opts RunOptions, ngw int) error {
 		}
 	}
 	return nil
-}
-
-// installShardFaults schedules an engine's routed fault slice, mirroring
-// setupFaults' ordering guarantee: fault events are placed on the calendar
-// before arrivals and sampler ticks, so at any shared instant they fire
-// first. replicas sizes the liveness mirror (a domain tracks the GLOBAL
-// replica count; its own reps slice is empty).
-func installShardFaults(e *engine, evs []fault.Event, seed int64, replicas int, withRng bool) {
-	e.faultEvents = append(e.faultEvents[:0], evs...)
-	e.gwDown = resetBools(e.gwDown, len(e.net.paths))
-	e.repDown = resetBools(e.repDown, replicas)
-	if withRng {
-		if e.faultRng == nil {
-			e.faultRng = rngutil.New(seed + 313)
-		} else {
-			e.faultRng.Seed(seed + 313)
-		}
-	}
-	if e.faultStepFn == nil {
-		e.faultStepFn = e.faultStep
-	}
-	for i := range e.faultEvents {
-		e.sim.At(e.faultEvents[i].At, e.faultStepFn)
-	}
 }
 
 // runSharded executes one experiment on the sharded kernel (Shards >= 2;
@@ -703,8 +600,8 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	coreOpts.Faults, coreOpts.FaultTimeline = nil, nil
 	coreOpts.TraceRequests = 0
 	coreOpts.Shards = 0
-	ce := prepareEngine(sh.core, coreOpts)
-	sh.core = ce
+	ce := prepareEngine(sh.engines[0], coreOpts)
+	sh.engines[0] = ce
 	ce.shRole = shCore
 	ce.shDownLat = downLat
 	ce.openLoop = true // the core never resubmits; clients live on the domains
@@ -717,7 +614,7 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	}
 	ce.shSlotFree = append(ce.shSlotFree[:0], ce.shSlots...)
 	if faulted {
-		installShardFaults(ce, sh.evCore, opts.Seed, opts.Replicas, true)
+		installFaults(ce, sh.evCore, opts.Seed, opts.Replicas, true)
 	}
 	if ce.resOn {
 		if err := ce.setupResilience(coreOpts); err != nil {
@@ -756,7 +653,7 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 		de.shArmFree = de.shArmFree[:0]
 		de.shSlotFree = append(de.shSlotFree[:0], de.shSlots...)
 		if faulted {
-			installShardFaults(de, sh.evDom[d], domOpts.Seed, opts.Replicas, false)
+			installFaults(de, sh.evDom[d], domOpts.Seed, opts.Replicas, false)
 		}
 		if de.resOn {
 			if err := de.setupResilience(domOpts); err != nil {
@@ -773,95 +670,22 @@ func (r *Runner) runSharded(opts RunOptions) (*Metrics, error) {
 	// Closed-loop clients map to gateways exactly like the sequential
 	// round-robin (client i -> gateway i mod ngw) and stagger with their
 	// own domain's stream; open-loop processes thin the global rate by the
-	// domain's gateway fraction.
-	switch {
-	case opts.Arrivals != nil:
-		rates := opts.Arrivals
-		lmax := rates.Max()
-		for d := 0; d < D; d++ {
-			de := sh.domains[d]
-			de.openLoop = true
-			ld := lmax * float64(nm.Classes[d].Gateways) / float64(ngw)
-			se := de.sim
-			e := de
-			var arrive func()
-			arrive = func() {
-				if e.rng.Float64()*lmax < rates.At(se.Now()) {
-					e.submit()
-				}
-				se.Schedule(e.rng.ExpFloat64()/ld, arrive)
-			}
-			se.Schedule(e.rng.ExpFloat64()/ld, arrive)
+	// domain's gateway fraction. Every engine then schedules its sampler
+	// ticks, after its arrivals as in the sequential kernel.
+	if opts.Arrivals != nil || opts.OpenLoopRate > 0 {
+		for d, de := range sh.domains {
+			de.startOpenArrivals(opts, nm.Classes[d].Gateways, ngw)
 		}
-	case opts.OpenLoopRate > 0:
-		for d := 0; d < D; d++ {
-			de := sh.domains[d]
-			de.openLoop = true
-			rate := opts.OpenLoopRate * float64(nm.Classes[d].Gateways) / float64(ngw)
-			se := de.sim
-			e := de
-			var arrive func()
-			arrive = func() {
-				e.submit()
-				se.Schedule(e.rng.ExpFloat64()/rate, arrive)
-			}
-			se.Schedule(e.rng.ExpFloat64()/rate, arrive)
-		}
-	default:
+	} else {
 		for i := 0; i < opts.Clients; i++ {
 			de := sh.domains[sh.classOf[i%ngw]]
 			de.sim.Schedule(de.rng.Float64()*2, de.submitFn)
 		}
 	}
-
-	// Sampler ticks: each domain snapshots its completion window, the core
-	// its resource integrals; finalize merges the rows with the sequential
-	// sampler's arithmetic.
-	sh.ticks = sh.ticks[:0]
-	for t := opts.SampleInterval; t <= opts.Duration+1e-9; t += opts.SampleInterval {
-		sh.ticks = append(sh.ticks, t)
+	for _, de := range sh.domains {
+		de.scheduleTicks(opts)
 	}
-	for d := range sh.domRows {
-		sh.domRows[d] = sh.domRows[d][:0]
-	}
-	sh.coreRows = sh.coreRows[:0]
-	warmup := opts.Warmup
-	for d := 0; d < D; d++ {
-		de := sh.domains[d]
-		rows := &sh.domRows[d]
-		tick := func() {
-			*rows = append(*rows, domRow{resp: de.windowResp, completed: de.completed, good: de.goodDone})
-			de.windowResp = stats.Welford{}
-			if de.resOn && de.resHedgeQ > 0 && de.respRes.N() >= resilience.HedgeMinSamples {
-				de.qScratch = de.respRes.Quantiles(de.qScratch[:0], de.resHedgeQ)
-				de.resHedgeDelay = de.qScratch[0]
-			}
-			if de.sim.Now() > warmup && !de.warmupDone {
-				de.warmupDone = true
-			}
-		}
-		for _, t := range sh.ticks {
-			de.sim.At(t, tick)
-		}
-	}
-	coreTick := func() {
-		var row coreRow
-		for _, rep := range ce.reps {
-			row.cpuW += rep.cpu.WorkIntegral()
-			row.gpuW += rep.gpu.WorkIntegral()
-			row.hB += rep.http.BusyIntegral()
-			row.dB += rep.dl.BusyIntegral()
-			row.xB += rep.ex.BusyIntegral()
-			row.sB += rep.ss.BusyIntegral()
-		}
-		sh.coreRows = append(sh.coreRows, row)
-		if ce.sim.Now() > warmup && !ce.warmupDone {
-			ce.warmupDone = true
-		}
-	}
-	for _, t := range sh.ticks {
-		ce.sim.At(t, coreTick)
-	}
+	ce.scheduleTicks(opts)
 
 	if sh.coord == nil {
 		nodes := make([]shard.Node, D+1)
@@ -919,118 +743,16 @@ func weightedQuantile(vals, ws []float64, total, q float64) float64 {
 	return vals[len(vals)-1]
 }
 
-// finalize merges the per-shard sampler rows, counters, reservoirs and
-// traces into one Metrics, replaying the sequential sampler's arithmetic
-// tick by tick (domain windows merge in domain order; resource integrals
-// come whole from the core).
+// finalize folds the shards into one Metrics: mergeMetrics over [core,
+// domains...] for the samples, aggregates and counters, then the sharded
+// family's own percentiles (the per-domain reservoirs merged as weighted
+// samples) and traces (the domains' first completions, merged in
+// completion order).
 func (sh *shardedState) finalize(opts RunOptions) (*Metrics, error) {
-	m := &Metrics{Config: opts.Pools, Clients: opts.Clients, Replicas: opts.Replicas,
-		Duration: opts.Duration, TaskTimes: make(map[string]stats.Summary)}
-	cal, hw := opts.Cal, opts.Hardware
-	nRep := float64(opts.Replicas)
-	gpuMem := cal.GPUMemGB(opts.Pools)
-	sysMem := cal.SysMemGB(opts.Pools)
-	D := len(sh.domains)
+	m := mergeMetrics(opts, sh.engines)
 
-	var (
-		lastCPUWork, lastGPUWork          float64
-		lastHTTPB, lastDLB                float64
-		lastExB, lastSSB                  float64
-		lastT                             float64
-		respW, cpuW, gpuW, hB, dB, xB, sB stats.Welford
-		gpuPW, cpuPW                      stats.Welford
-		energyJ                           float64
-		measStartT                        float64
-		measStartCompleted                int
-		measStartGood                     int64
-		warmupSeen                        bool
-	)
-	for i, t := range sh.ticks {
-		dt := t - lastT
-		if dt <= 0 {
-			continue
-		}
-		row := sh.coreRows[i]
-		s := Sample{Time: t, GPUMemGB: gpuMem, SysMemGB: sysMem}
-		s.CPUUtil = (row.cpuW - lastCPUWork) / (hw.CPUCores * nRep * dt)
-		lastCPUWork = row.cpuW
-		s.GPUUtil = (row.gpuW - lastGPUWork) / (cal.GPURate * nRep * dt)
-		lastGPUWork = row.gpuW
-		s.GPUPowerW = (cal.GPUIdlePowerW + cal.GPUPowerSlopeW*s.GPUUtil) * nRep
-		s.CPUPowerW = (cal.CPUIdlePowerW + cal.CPUPowerSlopeW*s.CPUUtil) * nRep
-		s.HTTPBusy = (row.hB - lastHTTPB) / (float64(opts.Pools.HTTP) * nRep * dt)
-		s.DownloadBusy = (row.dB - lastDLB) / (float64(opts.Pools.Download) * nRep * dt)
-		s.ExtractBusy = (row.xB - lastExB) / (float64(opts.Pools.Extract) * nRep * dt)
-		s.SimsearchBusy = (row.sB - lastSSB) / (float64(opts.Pools.Simsearch) * nRep * dt)
-		lastHTTPB, lastDLB, lastExB, lastSSB = row.hB, row.dB, row.xB, row.sB
-		var w stats.Welford
-		completedNow := 0
-		goodNow := int64(0)
-		for d := 0; d < D; d++ {
-			dr := sh.domRows[d][i]
-			w.Merge(dr.resp)
-			completedNow += dr.completed
-			goodNow += dr.good
-		}
-		if w.N() > 0 {
-			s.RespTime = w.Mean()
-			s.Throughput = float64(w.N()) / dt
-		} else {
-			s.RespTime = math.NaN()
-		}
-		lastT = t
-		if t > opts.Warmup {
-			if !warmupSeen {
-				warmupSeen = true
-				measStartT = t
-				measStartCompleted = completedNow
-				measStartGood = goodNow
-			} else {
-				if !math.IsNaN(s.RespTime) {
-					respW.Add(s.RespTime)
-				}
-				cpuW.Add(s.CPUUtil)
-				gpuW.Add(s.GPUUtil)
-				gpuPW.Add(s.GPUPowerW)
-				cpuPW.Add(s.CPUPowerW)
-				energyJ += (s.GPUPowerW + s.CPUPowerW) * dt
-				hB.Add(s.HTTPBusy)
-				dB.Add(s.DownloadBusy)
-				xB.Add(s.ExtractBusy)
-				sB.Add(s.SimsearchBusy)
-				m.Samples = append(m.Samples, s)
-			}
-		}
-	}
-
-	totCompleted := 0
-	var totGood int64
-	for _, de := range sh.domains {
-		totCompleted += de.completed
-		totGood += de.goodDone
-	}
-	m.Completed = totCompleted
-	m.UserResponseTime = respW.Snapshot()
-	m.CPUUtil = cpuW.Snapshot()
-	m.GPUUtil = gpuW.Snapshot()
-	m.GPUPowerW = gpuPW.Snapshot()
-	m.CPUPowerW = cpuPW.Snapshot()
-	if measured := totCompleted - measStartCompleted; measured > 0 {
-		m.EnergyPerRequestJ = energyJ / float64(measured)
-	}
-	m.HTTPBusy = hB.Snapshot()
-	m.DownloadBusy = dB.Snapshot()
-	m.ExtractBusy = xB.Snapshot()
-	m.SimsearchBusy = sB.Snapshot()
-	m.GPUMemGB = gpuMem
-	m.SysMemGB = sysMem
-	if span := opts.Duration - measStartT; span > 0 && warmupSeen {
-		m.Throughput = float64(totCompleted-measStartCompleted) / span
-	}
-
-	// Response percentiles: merge the per-domain reservoirs as weighted
-	// samples (each reservoir value stands for N/len(values) requests), so
-	// unevenly loaded domains contribute in proportion to their traffic.
+	// Each reservoir value stands for N/len(values) requests, so unevenly
+	// loaded domains contribute in proportion to their traffic.
 	var pv, pw []float64
 	var totalN float64
 	for _, de := range sh.domains {
@@ -1053,15 +775,6 @@ func (sh *shardedState) finalize(opts RunOptions) (*Metrics, error) {
 		m.RespP99 = weightedQuantile(pv, pw, totalN, 0.99)
 	}
 
-	for i, name := range TaskNames {
-		var w stats.Welford
-		w.Merge(sh.core.taskAgg[i])
-		for _, de := range sh.domains {
-			w.Merge(de.taskAgg[i])
-		}
-		m.TaskTimes[name] = w.Snapshot()
-	}
-
 	if opts.TraceRequests > 0 {
 		var all []RequestTrace
 		for _, de := range sh.domains {
@@ -1074,45 +787,6 @@ func (sh *shardedState) finalize(opts RunOptions) (*Metrics, error) {
 			all = all[:opts.TraceRequests]
 		}
 		m.Traces = all
-	}
-
-	sumCounters := func(en *engine) {
-		if en.net != nil {
-			for _, l := range en.net.links {
-				m.NetDelivered += l.Delivered()
-				m.NetRetransmits += l.Retransmits()
-			}
-		}
-		m.GatewayFailures += en.cGatewayFail
-		m.CrashRequeues += en.cCrashReq
-		m.CrashFailures += en.cCrashFail
-		m.DroppedArrivals += en.cDropped
-		m.Retries += en.cRetries
-		m.RetrySuccesses += en.cRetrySucc
-		m.Hedges += en.cHedges
-		m.HedgeWins += en.cHedgeWins
-		m.Rerouted += en.cRerouted
-		m.Shed += en.cShed
-		m.BreakerOpens += en.cBrkOpens
-		m.DeadlineExceeded += en.cDeadline
-		m.FailedRequests += en.cFailed
-	}
-	for _, de := range sh.domains {
-		sumCounters(de)
-	}
-	sumCounters(sh.core)
-
-	if tot := int64(totCompleted) + m.FailedRequests; tot > 0 {
-		m.AvailabilityFraction = float64(int64(totCompleted)) / float64(tot)
-	} else {
-		m.AvailabilityFraction = 1
-	}
-	m.Goodput = m.Throughput
-	if sh.core.resOn {
-		m.Goodput = 0
-		if span := opts.Duration - measStartT; span > 0 && warmupSeen {
-			m.Goodput = float64(totGood-measStartGood) / span
-		}
 	}
 	return m, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,77 +14,52 @@ import (
 	"e2clab/internal/resilience"
 )
 
-// metricsFingerprint renders every Metrics field bit-exactly (floats as raw
-// IEEE-754 bits), so two runs compare byte-for-byte including NaN samples.
+// metricsFingerprint renders every field of Metrics bit-exactly by
+// reflection: floats as raw IEEE-754 bits (so NaN samples compare too),
+// slices element by element, maps in sorted key order, and nested structs
+// (Sample, RequestTrace, stats.Summary) field by field. A field added to
+// any of them is covered without editing this function.
 func metricsFingerprint(m *Metrics) string {
 	var b strings.Builder
-	f := func(name string, x float64) { fmt.Fprintf(&b, "%s=%016x\n", name, math.Float64bits(x)) }
-	i := func(name string, x int64) { fmt.Fprintf(&b, "%s=%d\n", name, x) }
-	sum := func(name string, s struct {
-		N      int
-		Mean   float64
-		StdDev float64
-		Min    float64
-		Max    float64
-	}) {
-		i(name+".N", int64(s.N))
-		f(name+".Mean", s.Mean)
-		f(name+".StdDev", s.StdDev)
-		f(name+".Min", s.Min)
-		f(name+".Max", s.Max)
-	}
-	i("Completed", int64(m.Completed))
-	sum("UserResponseTime", m.UserResponseTime)
-	f("RespP50", m.RespP50)
-	f("RespP95", m.RespP95)
-	f("RespP99", m.RespP99)
-	f("Throughput", m.Throughput)
-	for _, name := range TaskNames {
-		sum("TaskTimes."+name, m.TaskTimes[name])
-	}
-	sum("CPUUtil", m.CPUUtil)
-	sum("GPUUtil", m.GPUUtil)
-	sum("GPUPowerW", m.GPUPowerW)
-	sum("CPUPowerW", m.CPUPowerW)
-	sum("HTTPBusy", m.HTTPBusy)
-	sum("DownloadBusy", m.DownloadBusy)
-	sum("ExtractBusy", m.ExtractBusy)
-	sum("SimsearchBusy", m.SimsearchBusy)
-	f("GPUMemGB", m.GPUMemGB)
-	f("SysMemGB", m.SysMemGB)
-	f("EnergyPerRequestJ", m.EnergyPerRequestJ)
-	i("NetDelivered", m.NetDelivered)
-	i("NetRetransmits", m.NetRetransmits)
-	i("GatewayFailures", m.GatewayFailures)
-	i("CrashRequeues", m.CrashRequeues)
-	i("CrashFailures", m.CrashFailures)
-	i("DroppedArrivals", m.DroppedArrivals)
-	i("Retries", m.Retries)
-	i("RetrySuccesses", m.RetrySuccesses)
-	i("Hedges", m.Hedges)
-	i("HedgeWins", m.HedgeWins)
-	i("Rerouted", m.Rerouted)
-	i("Shed", m.Shed)
-	i("BreakerOpens", m.BreakerOpens)
-	i("DeadlineExceeded", m.DeadlineExceeded)
-	i("FailedRequests", m.FailedRequests)
-	f("AvailabilityFraction", m.AvailabilityFraction)
-	f("Goodput", m.Goodput)
-	for k, s := range m.Samples {
-		fmt.Fprintf(&b, "S%d=%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x,%016x\n",
-			k, math.Float64bits(s.Time), math.Float64bits(s.RespTime), math.Float64bits(s.Throughput),
-			math.Float64bits(s.CPUUtil), math.Float64bits(s.GPUUtil), math.Float64bits(s.GPUPowerW),
-			math.Float64bits(s.CPUPowerW), math.Float64bits(s.GPUMemGB), math.Float64bits(s.SysMemGB),
-			math.Float64bits(s.HTTPBusy), math.Float64bits(s.DownloadBusy), math.Float64bits(s.ExtractBusy))
-	}
-	for k, tr := range m.Traces {
-		fmt.Fprintf(&b, "T%d=%016x,%016x", k, math.Float64bits(tr.Start), math.Float64bits(tr.Response))
-		for _, v := range tr.Tasks {
-			fmt.Fprintf(&b, ",%016x", math.Float64bits(v))
-		}
-		b.WriteByte('\n')
-	}
+	fingerprintValue(&b, "Metrics", reflect.ValueOf(m).Elem())
 	return b.String()
+}
+
+func fingerprintValue(b *strings.Builder, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fingerprintValue(b, path+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		fmt.Fprintf(b, "%s.len=%d\n", path, v.Len())
+		for i := 0; i < v.Len(); i++ {
+			fingerprintValue(b, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+		}
+	case reflect.Map:
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+		fmt.Fprintf(b, "%s.len=%d\n", path, v.Len())
+		for _, k := range keys {
+			fingerprintValue(b, fmt.Sprintf("%s[%v]", path, k), v.MapIndex(k))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			fmt.Fprintf(b, "%s=nil\n", path)
+			return
+		}
+		fingerprintValue(b, path, v.Elem())
+	case reflect.Float32, reflect.Float64:
+		fmt.Fprintf(b, "%s=%016x\n", path, math.Float64bits(v.Float()))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		fmt.Fprintf(b, "%s=%d\n", path, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		fmt.Fprintf(b, "%s=%d\n", path, v.Uint())
+	case reflect.Bool, reflect.String:
+		fmt.Fprintf(b, "%s=%q\n", path, fmt.Sprint(v))
+	default:
+		panic(fmt.Sprintf("metricsFingerprint: unsupported kind %s at %s", v.Kind(), path))
+	}
 }
 
 // shardedNetModel is a small heterogeneous two-class topology with a shared

@@ -81,7 +81,7 @@ gate race go test -race "${race_pkgs[@]}"
 # shared across configurations and goroutines) re-run under the race
 # detector with a real (uncached) pass, since these exercise the parallel
 # suite runner and repeated-run pool against mutated engine state.
-gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|Flap|Crash|Churn|Reuse|Idle' \
+gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|Flap|Crash|Churn|Reuse|Idle|Digest' \
     ./internal/plantnet/ ./internal/scenario/
 # Allocation-regression gate: -count=1 forces a real (uncached) run. The
 # sharded coordinator's steady-state window loop carries the same contract
