@@ -2,12 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -93,9 +96,12 @@ func (s Suite) resolved() ([]Scenario, error) {
 // Options configures a suite execution.
 type Options struct {
 	// Parallel bounds the suite-level worker pool (0 = GOMAXPROCS, 1 =
-	// sequential). Results are aggregated in scenario-index order after
-	// all workers finish, so fixed-seed output is bit-identical at any
-	// parallelism (the plantnet.RunRepeated pattern).
+	// sequential). Workers claim scenarios longest-expected-first: in
+	// descending order of a static cost estimate derived from the spec
+	// (see expectedCost), ties broken by index, the same order at every
+	// Parallel. Results are stored and aggregated by scenario index, so
+	// fixed-seed output is bit-identical at any parallelism (the
+	// plantnet.RunRepeated pattern).
 	Parallel int
 	// RepeatParallelism bounds each scenario's internal RunRepeated pool
 	// (default 1: the suite pool is the parallelism knob).
@@ -109,12 +115,17 @@ type Options struct {
 	// record per scenario plus a suite.json manifest.
 	ArchiveDir string
 	// Logger, when set, receives one event per scenario state change
-	// ("resumed", "started", "completed", "failed").
+	// ("resumed", "started", "completed", "failed"). "resumed" events come
+	// in index order before any scenario starts; "started" events follow
+	// the dispatch order (see Parallel), and index is always the
+	// scenario's position in the suite.
 	Logger func(event string, index int, name string)
 	// InterruptAfter, when positive, stops claiming new scenarios after
 	// this many have been executed in this invocation and makes RunSuite
 	// return ErrInterrupted — a crash simulation hook for resume tests and
-	// demos. In-flight scenarios still complete and checkpoint.
+	// demos. The scenarios executed are the first InterruptAfter of the
+	// dispatch order that were not resumed, i.e. those expected to take
+	// longest. In-flight scenarios still complete and checkpoint.
 	InterruptAfter int
 }
 
@@ -156,10 +167,45 @@ func fingerprint(sc Scenario, seed int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// expectedCost estimates the kernel work of running a resolved scenario. It
+// only has to rank scenarios, so its unit is arbitrary: simulated seconds
+// (duration x repeats) x an engine-throughput proxy (replicas, each kept
+// busy by at least one client) x a per-request transport factor. The factor
+// is 1 in analytical mode, the number of link transfers in simulated mode,
+// and the number of default-MTU packets of the request and response
+// payloads in packet mode. It reads the spec alone, never the name.
+func expectedCost(sc Scenario) float64 {
+	const mtuBytes = 1500 // the kernel's default packet size
+	transport := 1.0
+	switch sc.NetworkModel {
+	case "simulated":
+		transport = float64(2 * len(sc.path()))
+	case "packet":
+		transport = math.Ceil((sc.UploadBytes + sc.ResponseBytes) / mtuBytes)
+	}
+	throughput := float64(min(sc.Replicas, sc.Clients()))
+	return sc.DurationSeconds * float64(sc.Repeats) * throughput * transport
+}
+
+// dispatchOrder lists scenario indices longest-expected-first: descending
+// expectedCost, ties broken by index. Finishing a campaign is a
+// list-scheduling problem, and starting the longest jobs first bounds the
+// makespan within 4/3 of optimal (Graham, SIAM J. Appl. Math. 1969), where
+// index order can leave one worker running the largest scenario alone.
+func dispatchOrder(scenarios []Scenario) []int {
+	cost := make([]float64, len(scenarios))
+	order := make([]int, len(scenarios))
+	for i, sc := range scenarios {
+		cost[i], order[i] = expectedCost(sc), i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost[b], cost[a]) })
+	return order
+}
+
 // RunSuite executes every scenario of the suite on a bounded worker pool
-// with ordered aggregation, optional crash-safe checkpointing, and optional
-// provenance archiving. See Options for the determinism and resume
-// contracts.
+// with longest-expected-first dispatch, ordered aggregation, optional
+// crash-safe checkpointing, and optional provenance archiving. See Options
+// for the dispatch order and the determinism and resume contracts.
 //
 //simlint:ordered per-scenario seeds are derived before the pool starts and workers write results[i]/errs[i] by claimed index; aggregation walks index order (suite_test pins parallel == sequential)
 func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
@@ -226,6 +272,7 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 		workers = n
 	}
 
+	order := dispatchOrder(scenarios)
 	var next, started atomic.Int64
 	var executed atomic.Int64
 	var saveErr atomic.Value // first checkpoint-write failure
@@ -263,10 +310,11 @@ func RunSuite(s Suite, opts Options) (*SuiteResult, error) {
 
 	claim := func() int {
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
+			k := int(next.Add(1)) - 1
+			if k >= n {
 				return -1
 			}
+			i := order[k]
 			if results[i] != nil {
 				continue // resumed from checkpoint; never re-run
 			}

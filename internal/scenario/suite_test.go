@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"e2clab/internal/config"
@@ -460,5 +462,127 @@ func TestSuiteArchiveProvenance(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "optimization_0000", "evaluation.json")); err != nil {
 		t.Errorf("per-scenario record missing: %v", err)
+	}
+}
+
+// dispatchSuite is testSuite with scenarios whose expected costs differ:
+// a simulated network, a second replica and a single repeat move three of
+// them off the common estimate, while the first two still tie.
+func dispatchSuite() Suite {
+	s := testSuite()
+	s.Scenarios[2].NetworkModel = "simulated"
+	s.Scenarios[3].Repeats = 1
+	s.Scenarios[4].Replicas = 2
+	return s
+}
+
+// wantDispatch is the claim order the suite must follow: descending
+// expectedCost, ties broken by index.
+func wantDispatch(t *testing.T, s Suite) []int {
+	t.Helper()
+	scenarios, err := s.resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(scenarios))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return expectedCost(scenarios[order[a]]) > expectedCost(scenarios[order[b]])
+	})
+	return order
+}
+
+func TestSuiteDispatchLongestExpectedFirst(t *testing.T) {
+	s := dispatchSuite()
+	want := wantDispatch(t, s)
+	if sort.IntsAreSorted(want) {
+		t.Fatalf("fixture dispatches in index order %v; it cannot tell the orders apart", want)
+	}
+	var started []int
+	mustRun(t, s, Options{Parallel: 1, Logger: func(ev string, i int, _ string) {
+		if ev == "started" {
+			started = append(started, i)
+		}
+	}})
+	if !reflect.DeepEqual(started, want) {
+		t.Errorf("started order %v, want %v (descending estimate, ties by index)", started, want)
+	}
+}
+
+func TestSuiteDispatchBitIdenticalAcrossParallel(t *testing.T) {
+	s := dispatchSuite()
+	ref := mustRun(t, s, Options{Parallel: 1})
+	for _, p := range []int{2, 3} {
+		got := mustRun(t, s, Options{Parallel: p})
+		for i := range ref.Results {
+			if !reflect.DeepEqual(bits(ref.Results[i]), bits(got.Results[i])) || !reflect.DeepEqual(ref.Errs[i], got.Errs[i]) {
+				t.Errorf("Parallel %d: scenario %d (%s) differs from Parallel 1", p, i, ref.Results[i].Name)
+			}
+		}
+	}
+}
+
+func TestSuiteInterruptRunsHighestEstimates(t *testing.T) {
+	s := dispatchSuite()
+	want := wantDispatch(t, s)
+	ref := mustRun(t, s, Options{Parallel: 1})
+	const k = 2
+	for _, p := range []int{1, 3} {
+		ckpt := filepath.Join(t.TempDir(), "suite.json")
+		partial, err := RunSuite(s, Options{Parallel: p, CheckpointPath: ckpt, InterruptAfter: k})
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("Parallel %d: err = %v, want ErrInterrupted", p, err)
+		}
+		var ran []int
+		for i, r := range partial.Results {
+			if r != nil {
+				ran = append(ran, i)
+			}
+		}
+		top := slices.Sorted(slices.Values(want[:k]))
+		if !reflect.DeepEqual(ran, top) {
+			t.Errorf("Parallel %d: InterruptAfter %d ran scenarios %v, want the highest estimates %v", p, k, ran, top)
+		}
+		resumed := mustRun(t, s, Options{Parallel: p, CheckpointPath: ckpt})
+		if resumed.Resumed != k || resumed.Executed != len(s.Scenarios)-k {
+			t.Errorf("Parallel %d: resume executed=%d resumed=%d", p, resumed.Executed, resumed.Resumed)
+		}
+		for i := range ref.Results {
+			if !reflect.DeepEqual(bits(ref.Results[i]), bits(resumed.Results[i])) {
+				t.Errorf("Parallel %d: scenario %d differs after interrupt and resume", p, i)
+			}
+		}
+	}
+}
+
+func TestExpectedCost(t *testing.T) {
+	std, err := StandardSuite(120, 1, 1).resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := LoadSuite(filepath.Join("..", "..", "examples", "suite", "suite.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exScenarios, err := ex.resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range append(slices.Clone(std), exScenarios...) {
+		c := expectedCost(sc)
+		if !(c > 0) || math.IsInf(c, 0) {
+			t.Errorf("%s: estimate %v, want finite and positive", sc.Name, c)
+		}
+		renamed := sc
+		renamed.Name = "renamed-" + sc.Name
+		if expectedCost(renamed) != c {
+			t.Errorf("%s: estimate depends on the name", sc.Name)
+		}
+	}
+	if first := std[dispatchOrder(std)[0]]; first.NetworkModel != "packet" {
+		t.Errorf("StandardSuite dispatches %s (%s) first, want the packet-mode scenario",
+			first.Name, first.networkModelName())
 	}
 }

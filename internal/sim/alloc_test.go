@@ -214,3 +214,52 @@ func TestZeroAllocRetryHedgeTimerChurn(t *testing.T) {
 		}
 	})
 }
+
+func TestZeroAllocSameInstantFanout(t *testing.T) {
+	// Zero-delay events — pool grants, processor-sharing completions —
+	// scheduled from callbacks go through the same-instant FIFO, with
+	// cancelled entries left in it and a Reschedule back to now.
+	e := NewEngine()
+	fanout := func() {
+		for i := 0; i < 4; i++ {
+			e.Schedule(0, nopFn)
+		}
+		e.At(e.Now(), nopFn).Cancel()
+		e.Reschedule(e.Schedule(0.5, nopFn), e.Now())
+	}
+	for i := 0; i < 64; i++ {
+		e.Schedule(float64(i%8)*0.001, fanout)
+	}
+	e.Run(1e6)
+	requireZeroAllocs(t, "same-instant fan-out churn", func() {
+		for i := 0; i < 8; i++ {
+			e.Schedule(float64(i)*0.001, fanout)
+		}
+		for e.Step() {
+		}
+	})
+}
+
+func TestZeroAllocInPlaceReschedule(t *testing.T) {
+	// Reschedules of front-heap events that stay in the current bucket
+	// overwrite their slot in place.
+	e := NewEngine()
+	var evs [8]Event
+	churn := func() {
+		for i := range evs {
+			e.Reschedule(evs[i], e.Now()+float64(8-i)*0.001)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.Schedule(float64(i%8)*0.001, nopFn)
+	}
+	e.Run(1e6)
+	requireZeroAllocs(t, "in-place reschedule churn", func() {
+		for i := range evs {
+			evs[i] = e.Schedule(float64(i)*0.001, nopFn)
+		}
+		e.Schedule(0.0005, churn)
+		for e.Step() {
+		}
+	})
+}

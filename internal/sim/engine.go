@@ -9,12 +9,14 @@
 //
 // # Calendar structure
 //
-// The event calendar is a two-tier ladder instead of one big binary heap:
+// The event calendar is a ladder of tiers instead of one big binary heap:
 //
-//   - front: a small flat min-heap ordered by (time, seq) holding only the
-//     events of the bucket the clock is currently in. All pops come from
-//     here, so the per-event heap work is O(log bucketSize), not
-//     O(log totalEvents).
+//   - nowq: a FIFO of the events scheduled for the current instant (At(now),
+//     Schedule(0), past or negative times clamped to now, Reschedule to
+//     now). Appending and popping are O(1), with no heap sift.
+//   - front: a small flat min-heap ordered by (time, seq) holding the later
+//     events of the bucket the clock is currently in, so the per-event heap
+//     work is O(log bucketSize), not O(log totalEvents).
 //   - ring: ringSlots unsorted buckets of bucketW seconds each, covering the
 //     near future (curB, curB+ringSlots). Insertion is an O(1) append; a
 //     bucket is heapified into front only when the clock reaches it.
@@ -22,12 +24,24 @@
 //     migrate ring-ward (at most once each) when the horizon advances past
 //     them.
 //
+// The same-instant tier keeps (time, seq) order without comparing keys.
+// Every calendar entry has time >= now, and each new entry takes the
+// largest seq so far, so nowq holds its entries in seq order. A front entry
+// at time == now was inserted before the clock reached now, so it sorts
+// before every nowq entry; every nowq entry sorts before every entry at a
+// later time. The pop rule is therefore: the front minimum if its time ==
+// now, otherwise the nowq head. nowq drains before the clock moves forward;
+// a Run that moves it back files nowq's entries in the timed tiers first.
+//
 // Event nodes live in an arena recycled through a generation-counted
 // freelist, and Event handles are plain values (arena index + generation),
 // so steady-state Schedule/Reschedule/Cancel/Step perform zero heap
-// allocations and never leave cancelled tombstones in the calendar. Firing
-// order is exactly (time, seq) in every tier, which keeps fixed-seed runs
-// bit-identical to the old single-heap kernel (see calendar_equiv_test.go).
+// allocations. The heap tiers never hold cancelled tombstones; nowq marks a
+// cancelled entry in place (idx -1) and skips it when it reaches the head.
+// A Reschedule of a front event whose new time stays in the front bucket
+// overwrites its slot and sifts once. Firing order is exactly (time, seq)
+// in every tier, which keeps fixed-seed runs bit-identical to the old
+// single-heap kernel (see calendar_equiv_test.go).
 package sim
 
 import "math"
@@ -55,6 +69,7 @@ type loc uint8
 
 const (
 	locFree loc = iota
+	locNow
 	locFront
 	locRing
 	locOver
@@ -87,9 +102,15 @@ type eventNode struct {
 
 // Engine is an event calendar with a simulation clock.
 type Engine struct {
-	now  float64
-	seq  int64
-	live int // scheduled, non-cancelled events (O(1) Pending)
+	now   float64
+	seq   int64
+	live  int   // scheduled, non-cancelled events (O(1) Pending)
+	fired int64 // events fired since construction or Reset
+
+	// nowq holds the events due at the current instant in seq order;
+	// entries before nowHead have fired, and idx -1 marks a cancelled one.
+	nowq    []entry
+	nowHead int
 
 	nodes []eventNode
 	free  []int32
@@ -115,6 +136,10 @@ func NewEngine() *Engine {
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
+// Fired returns the number of events fired since the engine was built or
+// last Reset: an exact, machine-independent measure of kernel work.
+func (e *Engine) Fired() int64 { return e.fired }
+
 // Event is a value handle to a scheduled callback; it can be cancelled or
 // rescheduled. The zero Event is inert. Handles stay cheap to copy (no heap
 // allocation per Schedule) and detect staleness through the node's
@@ -126,9 +151,8 @@ type Event struct {
 	gen uint32
 }
 
-// Cancel prevents the event from firing, removing it from the calendar
-// immediately (no tombstone). Cancelling a fired or already cancelled event
-// is a no-op.
+// Cancel prevents the event from firing, releasing its node immediately.
+// Cancelling a fired or already cancelled event is a no-op.
 //
 //simlint:noalloc steady-state calendar path (PR 3 contract, sim/alloc_test.go)
 func (ev Event) Cancel() {
@@ -194,9 +218,17 @@ func (e *Engine) Reschedule(ev Event, t float64) bool {
 	if t < e.now || math.IsNaN(t) {
 		t = e.now
 	}
-	e.removeEntry(ev.idx)
 	e.seq++
-	e.insert(entry{time: t, seq: e.seq, idx: ev.idx})
+	ent := entry{time: t, seq: e.seq, idx: ev.idx}
+	if nd.loc == locFront && t < e.frontEnd && t != e.now {
+		// The node stays in the front bucket: overwrite its slot with the
+		// new key and restore the heap order from there.
+		e.front[nd.pos] = ent
+		e.heapFix(e.front, int(nd.pos), locFront)
+		return true
+	}
+	e.removeEntry(ev.idx)
+	e.insert(ent)
 	return true
 }
 
@@ -204,15 +236,18 @@ func (e *Engine) Reschedule(ev Event, t float64) bool {
 //
 //simlint:noalloc steady-state calendar path
 func (e *Engine) Step() bool {
+	if e.nowHead < len(e.nowq) {
+		if idx := e.popNow(); idx >= 0 {
+			e.fire(idx)
+			return true
+		}
+	}
 	if len(e.front) == 0 && !e.advance() {
 		return false
 	}
 	ent := e.heapPopMin(&e.front, locFront)
-	fn := e.nodes[ent.idx].fn
-	e.release(ent.idx)
-	e.live--
 	e.now = ent.time
-	fn()
+	e.fire(ent.idx)
 	return true
 }
 
@@ -222,7 +257,18 @@ func (e *Engine) Step() bool {
 //
 //simlint:noalloc steady-state calendar path
 func (e *Engine) Run(until float64) {
+	if until < e.now && e.nowHead < len(e.nowq) {
+		// The clock is about to move back past the events due now; file
+		// them in the timed tiers so nowq only ever holds time == now.
+		e.spillNow(until)
+	}
 	for {
+		if e.nowHead < len(e.nowq) {
+			if idx := e.popNow(); idx >= 0 {
+				e.fire(idx)
+				continue
+			}
+		}
 		if len(e.front) == 0 {
 			if e.ringN == 0 && (len(e.over) == 0 || e.over[0].time > until) {
 				// Nothing within the horizon; don't rebase the calendar for
@@ -239,10 +285,13 @@ func (e *Engine) Run(until float64) {
 			e.now = until
 			return
 		}
+		// Inline rather than e.fire: the compiler does not inline fire,
+		// and this pop serves every event after the current instant.
 		ent := e.heapPopMin(&e.front, locFront)
 		fn := e.nodes[ent.idx].fn
 		e.release(ent.idx)
 		e.live--
+		e.fired++
 		e.now = ent.time
 		fn()
 	}
@@ -264,7 +313,8 @@ func (e *Engine) Pending() int { return e.live }
 //
 //simlint:noalloc pooled-reuse path (PR 5 contract): reset must not re-grow
 func (e *Engine) Reset() {
-	e.now, e.seq, e.live = 0, 0, 0
+	e.now, e.seq, e.live, e.fired = 0, 0, 0, 0
+	e.nowq, e.nowHead = e.nowq[:0], 0
 	for i := range e.nodes {
 		e.nodes[i].fn = nil
 	}
@@ -297,6 +347,18 @@ func (e *Engine) alloc(fn func()) int32 {
 	return idx
 }
 
+// fire releases the node of a popped entry and runs its callback at the
+// current clock.
+//
+//simlint:noalloc
+func (e *Engine) fire(idx int32) {
+	fn := e.nodes[idx].fn
+	e.release(idx)
+	e.live--
+	e.fired++
+	fn()
+}
+
 //simlint:noalloc
 func (e *Engine) release(idx int32) {
 	nd := &e.nodes[idx]
@@ -313,6 +375,10 @@ func (e *Engine) release(idx int32) {
 //simlint:noalloc
 func (e *Engine) insert(ent entry) {
 	switch {
+	case ent.time == e.now:
+		nd := &e.nodes[ent.idx]
+		nd.loc, nd.pos = locNow, int32(len(e.nowq))
+		e.nowq = append(e.nowq, ent)
 	case ent.time < e.frontEnd:
 		e.heapPush(&e.front, locFront, ent)
 	case ent.time < e.ringEnd:
@@ -337,6 +403,8 @@ func (e *Engine) ringPut(ent entry) {
 func (e *Engine) removeEntry(idx int32) {
 	nd := &e.nodes[idx]
 	switch nd.loc {
+	case locNow:
+		e.nowq[nd.pos].idx = -1
 	case locFront:
 		e.heapRemove(&e.front, locFront, int(nd.pos))
 	case locOver:
@@ -352,6 +420,48 @@ func (e *Engine) removeEntry(idx int32) {
 		}
 		e.ring[s] = sl[:last]
 		e.ringN--
+	}
+}
+
+// popNow returns the arena index of the next event to fire when that is the
+// nowq head, or -1 when the front minimum fires first (its time == now) or
+// only cancelled entries remain. The caller has checked nowHead < len(nowq).
+//
+//simlint:noalloc
+func (e *Engine) popNow() int32 {
+	if len(e.front) > 0 && e.front[0].time == e.now {
+		return -1
+	}
+	for e.nowHead < len(e.nowq) {
+		idx := e.nowq[e.nowHead].idx
+		e.nowHead++
+		if idx >= 0 {
+			if e.nowHead == len(e.nowq) {
+				e.nowq, e.nowHead = e.nowq[:0], 0
+			}
+			return idx
+		}
+	}
+	e.nowq, e.nowHead = e.nowq[:0], 0
+	return -1
+}
+
+// spillNow moves the clock back to until < now and files the live nowq
+// entries in the timed tiers, in seq order. When no entry is live it leaves
+// the clock to the rest of Run, which moves it back only if some other
+// event is pending.
+//
+//simlint:noalloc
+func (e *Engine) spillNow(until float64) {
+	q := e.nowq[e.nowHead:]
+	e.nowq, e.nowHead = e.nowq[:0], 0
+	for _, ent := range q {
+		if ent.idx >= 0 {
+			// Every entry now lies after the clock, so none re-enters nowq
+			// and overwrites q.
+			e.now = until
+			e.insert(ent)
+		}
 	}
 }
 
@@ -497,12 +607,18 @@ func (e *Engine) heapRemove(h *[]entry, l loc, i int) {
 	last := len(s) - 1
 	s[i] = s[last]
 	*h = s[:last]
-	s = s[:last]
 	if i < last {
-		if i > 0 && entryLess(s[i], s[(i-1)/2]) {
-			e.siftUp(s, i, l)
-		} else {
-			e.siftDown(s, i, l)
-		}
+		e.heapFix(s[:last], i, l)
+	}
+}
+
+// heapFix restores the heap order after the entry at i changed its key.
+//
+//simlint:noalloc
+func (e *Engine) heapFix(h []entry, i int, l loc) {
+	if i > 0 && entryLess(h[i], h[(i-1)/2]) {
+		e.siftUp(h, i, l)
+	} else {
+		e.siftDown(h, i, l)
 	}
 }

@@ -26,13 +26,16 @@ type SharedResource struct {
 	// accounting (e.g. number of cores).
 	MaxRate float64
 
-	// jobs is a dense, insertion-ordered slice of the running jobs, each of
-	// weight 1: completions fire in slice order, so simultaneous
-	// completions are deterministic.
-	jobs []sharedJob
-	// minRem is the smallest rem in jobs (+Inf when there is none). Every
-	// job runs at the same rate, so advance subtracts one value d from
-	// every rem; IEEE subtraction is monotone (a <= b implies
+	// rems and dones describe the running jobs, each of weight 1, in
+	// insertion order: rems[i] is job i's remaining work and dones[i] its
+	// completion callback. Completions fire in slice order, so simultaneous
+	// completions are deterministic. The remainders sit in their own flat
+	// slice so advance's per-event subtract pass touches nothing else.
+	rems  []float64
+	dones []func()
+	// minRem is the smallest of rems (+Inf when there is none). Every job
+	// runs at the same rate, so advance subtracts one value d from every
+	// remainder; IEEE subtraction is monotone (a <= b implies
 	// fl(a-d) <= fl(b-d)), so the job holding the minimum keeps it and
 	// minRem is tracked rather than searched for.
 	minRem  float64
@@ -44,11 +47,6 @@ type SharedResource struct {
 	completeFn func()
 	lastT      float64
 	workInt    float64 // ∫ delivered rate dt (work-seconds, for utilization)
-}
-
-type sharedJob struct {
-	rem    float64 // work still to do
-	onDone func()
 }
 
 // NewSharedResource builds a shared resource on the engine.
@@ -107,7 +105,8 @@ func (s *SharedResource) Add(work float64, onDone func()) {
 		return
 	}
 	s.advance()
-	s.jobs = append(s.jobs, sharedJob{rem: work, onDone: onDone})
+	s.rems = append(s.rems, work)
+	s.dones = append(s.dones, onDone)
 	if work < s.minRem {
 		s.minRem = work
 	}
@@ -185,8 +184,8 @@ func (s *SharedResource) Reset(maxRate float64, totalRate func(float64) float64)
 //
 //simlint:noalloc
 func (s *SharedResource) dropJobs() {
-	clear(s.jobs) // release the onDone references
-	s.jobs = s.jobs[:0]
+	clear(s.dones) // release the callback references
+	s.rems, s.dones = s.rems[:0], s.dones[:0]
 	s.minRem = math.Inf(1)
 	s.holds = 0
 }
@@ -230,11 +229,11 @@ func (s *SharedResource) Crash() {
 // ActiveWeight returns the current total weight of running jobs (1 each)
 // plus holds.
 func (s *SharedResource) ActiveWeight() float64 {
-	return s.holds + float64(len(s.jobs))
+	return s.holds + float64(len(s.rems))
 }
 
 // ActiveJobs returns the number of running jobs.
-func (s *SharedResource) ActiveJobs() int { return len(s.jobs) }
+func (s *SharedResource) ActiveJobs() int { return len(s.rems) }
 
 // WorkIntegral returns ∫ delivered-rate dt up to now (work-seconds).
 func (s *SharedResource) WorkIntegral() float64 {
@@ -271,46 +270,38 @@ func (s *SharedResource) advance() {
 	}
 	total := s.TotalRate(w)
 	s.workInt += total * dt
-	if len(s.jobs) == 0 {
+	if len(s.rems) == 0 {
 		return
 	}
 	d := total / w * dt // the work each job received over dt
+	rems := s.rems
+	for i := range rems {
+		rems[i] -= d
+	}
+	s.minRem -= d
 	const eps = 1e-12
-	if s.minRem-d > eps {
-		// Nothing completes; the minimum stays with the same job.
-		for i := range s.jobs {
-			s.jobs[i].rem -= d
-		}
-		s.minRem -= d
-		return
+	if s.minRem > eps {
+		return // nothing completes; the minimum stays with the same job
 	}
 	// Completions fire in insertion order (the slice order). Survivors are
-	// compacted in place and the minimum is recomputed over them; a
-	// survivor is copied only once a completion has opened a gap before
-	// it, and only the dropped tail's callbacks are nilled (for the GC).
+	// compacted in place and the minimum is recomputed over them; only the
+	// dropped tail's callbacks are nilled (for the GC).
 	kept := 0
 	minRem := math.Inf(1)
-	for i := range s.jobs {
-		j := &s.jobs[i]
-		rem := j.rem - d
+	for i, rem := range rems {
 		if rem <= eps {
-			s.eng.Schedule(0, j.onDone)
+			s.eng.Schedule(0, s.dones[i])
 			continue
 		}
 		if rem < minRem {
 			minRem = rem
 		}
-		if kept != i {
-			s.jobs[kept] = sharedJob{rem: rem, onDone: j.onDone}
-		} else {
-			j.rem = rem
-		}
+		rems[kept] = rem
+		s.dones[kept] = s.dones[i]
 		kept++
 	}
-	for i := kept; i < len(s.jobs); i++ {
-		s.jobs[i].onDone = nil
-	}
-	s.jobs = s.jobs[:kept]
+	clear(s.dones[kept:])
+	s.rems, s.dones = rems[:kept], s.dones[:kept]
 	s.minRem = minRem
 }
 
@@ -320,7 +311,7 @@ func (s *SharedResource) advance() {
 //
 //simlint:noalloc steady-state job churn; completeFn is bound once in NewSharedResource
 func (s *SharedResource) reschedule() {
-	if len(s.jobs) == 0 {
+	if len(s.rems) == 0 {
 		// Holds alone never complete; nothing to schedule.
 		if s.hasNext {
 			s.nextEv.Cancel()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -420,116 +419,6 @@ func TestMedianStoppingInRunner(t *testing.T) {
 	}
 	if counts[Completed] == 0 {
 		t.Errorf("median rule stopped everything: %v", counts)
-	}
-}
-
-func TestCheckpointSaveLoad(t *testing.T) {
-	s := unitSpace(2)
-	obj := func(ctx *Context, x []float64) (float64, error) {
-		if ctx.TrialID() == 2 {
-			return 0, errors.New("node lost")
-		}
-		ctx.Report(1, x[0])
-		return x[0] + x[1], nil
-	}
-	a, err := Run(RunConfig{Name: "ckpt", Metric: "m", Mode: space.Max, NumSamples: 5},
-		&RandomSearch{Space: s, Seed: 12}, obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/analysis.json"
-	if err := a.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "ckpt" || got.Metric != "m" || got.Mode != space.Max {
-		t.Errorf("metadata lost: %+v", got)
-	}
-	if len(got.Trials) != 5 {
-		t.Fatalf("trials = %d", len(got.Trials))
-	}
-	if got.Best().ID != a.Best().ID || got.Best().Value != a.Best().Value {
-		t.Error("best trial changed across save/load")
-	}
-	counts := got.CountByStatus()
-	if counts[Failed] != 1 || counts[Completed] != 4 {
-		t.Errorf("statuses lost: %v", counts)
-	}
-	for _, tr := range got.Trials {
-		if tr.Status == Completed && len(tr.Reports) != 1 {
-			t.Errorf("trial %d reports lost", tr.ID)
-		}
-		if tr.Status == Failed && tr.Err == nil {
-			t.Error("failure error lost")
-		}
-	}
-}
-
-func TestSeedFromReplaysEvidence(t *testing.T) {
-	s := unitSpace(1)
-	a, err := Run(RunConfig{NumSamples: 6}, &RandomSearch{Space: s, Seed: 14},
-		func(ctx *Context, x []float64) (float64, error) { return x[0], nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tells int64
-	cs := &countingSearch{inner: &RandomSearch{Space: s, Seed: 15}, tells: &tells}
-	if n := SeedFrom(a, cs); n != 6 {
-		t.Errorf("SeedFrom replayed %d, want 6", n)
-	}
-	if tells != 6 {
-		t.Errorf("search received %d tells", tells)
-	}
-}
-
-func TestCheckpointModeRoundTrip(t *testing.T) {
-	s := unitSpace(1)
-	obj := func(ctx *Context, x []float64) (float64, error) { return x[0], nil }
-	for _, mode := range []space.Mode{space.Min, space.Max} {
-		a, err := Run(RunConfig{Name: "modes", Metric: "m", Mode: mode, NumSamples: 3},
-			&RandomSearch{Space: s, Seed: 21}, obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := t.TempDir() + "/analysis.json"
-		if err := a.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Mode != mode {
-			t.Errorf("mode %v became %v across save/load", mode, got.Mode)
-		}
-		if got.Best().ID != a.Best().ID || got.Best().Value != a.Best().Value {
-			t.Errorf("mode %v: best trial changed across save/load", mode)
-		}
-	}
-}
-
-func TestLoadRejectsUnknownMode(t *testing.T) {
-	// An unknown or corrupted mode string used to silently become Min,
-	// flipping the optimization direction of a resumed max-mode run.
-	dir := t.TempDir()
-	for _, mode := range []string{"maximum", "", "MAX", "garbage"} {
-		path := dir + "/bad.json"
-		body := `{"name":"x","metric":"m","mode":"` + mode + `","trials":[]}`
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(path); err == nil {
-			t.Errorf("mode %q accepted", mode)
-		}
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load("/nonexistent/analysis.json"); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

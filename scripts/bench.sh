@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — run the perf-trajectory benchmark suite and emit a JSON
 # snapshot (BENCH_<git-sha>.json by default) so successive PRs can track
-# wall-clock AND allocation numbers for the hot paths: forest fit, batch
+# wall-clock AND allocation numbers for the hot paths: the event calendar,
+# processor sharing and pool churn of the sim kernel, forest fit, batch
 # prediction, the ask/tell loop, and the end-to-end Listing 1 optimization
 # benchmark. Compare two snapshots with scripts/bench_compare.sh.
 #
@@ -9,17 +10,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_$(git rev-parse --short HEAD 2>/dev/null || echo local).json}"
+# A snapshot of uncommitted changes is named and stamped "<sha>-dirty".
+out="${1:-BENCH_$(git describe --always --dirty 2>/dev/null || echo local).json}"
 benchtime="${BENCHTIME:-3x}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-run() { # run <package> <bench regexp>
-    go test -run '^$' -bench "$2" -benchtime "$benchtime" -benchmem "$1" 2>/dev/null |
+run() { # run <package> <bench regexp> [benchtime]
+    go test -run '^$' -bench "$2" -benchtime "${3:-$benchtime}" -benchmem "$1" 2>/dev/null |
         grep -E '^Benchmark' || true
 }
 
 {
+    # One sim kernel op is a single event or job, so these run a fixed
+    # 200k ops instead of the campaign benchmarks' few iterations.
+    run ./internal/sim/ 'BenchmarkEventThroughput|BenchmarkProcessorSharing|BenchmarkPoolGrantRelease|BenchmarkZeroDelayFanout|BenchmarkRescheduleChurn' 200000x
     run ./internal/surrogate/ 'BenchmarkForestFit|BenchmarkPredictBatch'
     run ./internal/bo/ 'BenchmarkAskLoop'
     run ./internal/scenario/ 'BenchmarkSuite|BenchmarkNetworkPath|BenchmarkFaultedCampaign|BenchmarkResilientCampaign'
@@ -28,11 +33,12 @@ run() { # run <package> <bench regexp>
 } >"$tmp"
 
 # Convert benchmark lines to JSON: the name, iterations, and each of the
-# `<value> <unit>` pairs we track (ns/op, B/op, allocs/op, and the campaign
-# benchmarks' scenario count, so readers can price campaigns per scenario).
+# `<value> <unit>` pairs we track (ns/op, B/op, allocs/op, the sim kernel
+# benchmarks' exact events fired per op, and the campaign benchmarks'
+# scenario count, so readers can price campaigns per scenario).
 {
     printf '{\n'
-    printf '  "git": "%s",\n' "$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+    printf '  "git": "%s",\n' "$(git describe --always --dirty --abbrev=40 2>/dev/null || echo unknown)"
     printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
     printf '  "gomaxprocs": %s,\n' "${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}"
     printf '  "benchmarks": [\n'
@@ -41,17 +47,19 @@ run() { # run <package> <bench regexp>
             name = $1
             sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
             iters = $2
-            ns = "null"; bytes = "null"; allocs = "null"; scenarios = "null"
+            ns = "null"; bytes = "null"; allocs = "null"; scenarios = "null"; events = "null"
             for (i = 3; i < NF; i++) {
                 if ($(i+1) == "ns/op") ns = $i
                 else if ($(i+1) == "B/op") bytes = $i
                 else if ($(i+1) == "allocs/op") allocs = $i
                 else if ($(i+1) == "scenarios") scenarios = $i
+                else if ($(i+1) == "events/op") events = $i
             }
             if (n++) printf ",\n"
             printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
                 name, iters, ns, bytes, allocs
             if (scenarios != "null") printf ", \"scenarios\": %s", scenarios
+            if (events != "null") printf ", \"events_per_op\": %s", events
             printf "}"
         }
         END { if (n) printf "\n" }
