@@ -79,11 +79,17 @@ func shardedScaleOpts(shards int, seed int64) RunOptions {
 // BenchmarkShardedScale compares the sequential kernel against the
 // domain-sharded kernel at 10,240 gateways. Both subbenches pin GOMAXPROCS=4
 // so the ratio measures the conservative-window parallelism, not core count
-// drift. What is recorded: BENCH_9ea8110-dirty.json, one 3-iteration run
-// on a 2-vCPU host, reads shards=1 193 ms/op and shards=4 177 ms/op; a
-// second run on the same host and code read 118 and 150 ms/op. The
-// run-to-run spread exceeds the difference, so neither parity nor a
-// speedup is established, and no run on 4 or more cores exists.
+// drift (the coordinator still caps its workers at the CPU count). The
+// sharded subbench also reports the coordinator's exact windows/op and
+// msgs/op, which do not depend on speed: 751 and 24,287 over seeds 1-3.
+// What is recorded: six alternating 3-iteration runs per kernel on a noisy
+// 2-vCPU host read shards=1 243 ms/op (quartiles 233-258) and shards=4
+// 196 ms/op (185-204); the same runs with the earlier channel-handoff
+// barrier, inline routing and index-order claims read 217 (211-229) and
+// 237 (228-240). Each subbench builds a fresh Runner, so the first of every
+// three iterations also pays the sharded set-up; timed without it at
+// GOMAXPROCS=2 (ten alternating rounds of twelve runs, seed 1), the same
+// workload takes a median 208 ms sequential and 123 ms sharded.
 func BenchmarkShardedScale(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -100,11 +106,20 @@ func BenchmarkShardedScale(b *testing.B) {
 			opts := shardedScaleOpts(bc.shards, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
+			var windows, msgs int64
 			for i := 0; i < b.N; i++ {
 				opts.Seed = int64(i + 1)
 				if _, err := rn.Run(opts); err != nil {
 					b.Fatal(err)
 				}
+				if rn.sh != nil {
+					windows += rn.sh.coord.Windows()
+					msgs += rn.sh.coord.Routed()
+				}
+			}
+			if rn.sh != nil {
+				b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
+				b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 			}
 		})
 	}

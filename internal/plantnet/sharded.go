@@ -97,18 +97,21 @@ func (e *engine) shSlotNew() *shSlot {
 }
 
 // shardNode adapts an engine to shard.Node: apply the window's inbox at the
-// stamped delivery times, then advance the private engine to the barrier.
+// stamped delivery times, then advance the private engine to the barrier
+// and report the events it fired.
 type shardNode struct{ e *engine }
 
-func (n shardNode) Advance(until float64, inbox []shard.Msg, out *shard.Outbox) {
+func (n shardNode) Advance(until float64, inbox []shard.Msg, out *shard.Outbox) int64 {
 	e := n.e
 	e.shOut = out
+	fired := e.sim.Fired()
 	for i := range inbox {
 		s := e.shSlotGet()
 		s.m = inbox[i]
 		e.sim.At(s.m.At, s.fn)
 	}
 	e.sim.Run(until)
+	return e.sim.Fired() - fired
 }
 
 // applyMsg dispatches one delivered cross-shard message.

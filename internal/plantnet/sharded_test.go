@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"e2clab/internal/fault"
@@ -377,5 +379,70 @@ func TestShardedSteadyStateNoWindowLeak(t *testing.T) {
 	long := measure(mk(400, 50)) // 2000 windows, 8 ticks
 	if long > short*1.5+256 {
 		t.Errorf("window loop leaks allocations: short-run=%v long-run=%v", short, long)
+	}
+}
+
+// TestShardedWindowCounters pins the coordinator's exact work counters for
+// the sharded golden configuration at two shard counts: however the window
+// loop is scheduled, it must run the same windows and route the same
+// messages.
+func TestShardedWindowCounters(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		opts := shardedGoldenOpts()
+		opts.Shards = shards
+		r := NewRunner()
+		if _, err := r.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+		if w, m := r.sh.coord.Windows(), r.sh.coord.Routed(); w != 90001 || m != 9763 {
+			t.Errorf("Shards=%d: Windows()=%d Routed()=%d, want 90001 and 9763", shards, w, m)
+		}
+	}
+}
+
+// TestShardedConcurrentRunnersBitIdentical runs two sharded experiments on
+// separate Runners at once on two procs, so their window loops
+// oversubscribe the process; both must finish bit-identical to the same
+// runs made one at a time.
+func TestShardedConcurrentRunnersBitIdentical(t *testing.T) {
+	mk := func(seed int64) RunOptions {
+		return RunOptions{
+			Pools: Baseline, Clients: 30, Network: shardedNetModel(true),
+			Replicas: 2, Duration: 90, Warmup: 30, Seed: seed, Shards: 2,
+		}
+	}
+	var want [2]string
+	for i := range want {
+		m, err := NewRunner().Run(mk(int64(31 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = metricsFingerprint(m)
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	var got [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := NewRunner().Run(mk(int64(31 + i)))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = metricsFingerprint(m)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("concurrent run %d diverged from its serial run:\n%s", i, firstDiff(got[i], want[i]))
+		}
 	}
 }

@@ -3,8 +3,11 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"e2clab/internal/sim"
 )
@@ -29,8 +32,9 @@ func newEchoNode(id, n int32) *echoNode {
 
 const lookahead = 0.5
 
-func (e *echoNode) Advance(until float64, inbox []Msg, out *Outbox) {
+func (e *echoNode) Advance(until float64, inbox []Msg, out *Outbox) int64 {
 	e.out = out
+	fired := e.eng.Fired()
 	for i := range inbox {
 		m := inbox[i] // copy: schedule captures the loop-local value
 		e.eng.At(m.At, func() {
@@ -43,6 +47,7 @@ func (e *echoNode) Advance(until float64, inbox []Msg, out *Outbox) {
 		})
 	}
 	e.eng.Run(until)
+	return e.eng.Fired() - fired
 }
 
 // seedRound emits the initial message wave before the first window, the way
@@ -138,7 +143,7 @@ type farNode struct {
 	got  []float64
 }
 
-func (f *farNode) Advance(until float64, inbox []Msg, out *Outbox) {
+func (f *farNode) Advance(until float64, inbox []Msg, out *Outbox) int64 {
 	for i := range inbox {
 		f.got = append(f.got, inbox[i].At)
 	}
@@ -147,6 +152,7 @@ func (f *farNode) Advance(until float64, inbox []Msg, out *Outbox) {
 		out.Send(1, Msg{At: 3.25}) // 6.5 windows ahead at width 0.5
 	}
 	f.eng.Run(until)
+	return int64(len(inbox))
 }
 
 func TestShardPendingAcrossWindows(t *testing.T) {
@@ -161,9 +167,34 @@ func TestShardPendingAcrossWindows(t *testing.T) {
 
 type badNode struct{ eng *sim.Engine }
 
-func (bn *badNode) Advance(until float64, inbox []Msg, out *Outbox) {
+func (bn *badNode) Advance(until float64, inbox []Msg, out *Outbox) int64 {
 	out.Send(0, Msg{At: until}) // due inside our own window: violates lookahead
 	bn.eng.Run(until)
+	return 1
+}
+
+// TestShardPanicJoinsHelpers: a lookahead panic on the parallel path still
+// stops and joins the helpers, so a caller that recovers leaks none.
+func TestShardPanicJoinsHelpers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Error("expected lookahead-violation panic")
+			}
+		}()
+		c := NewCoordinator([]Node{&badNode{eng: sim.NewEngine()}, &badNode{eng: sim.NewEngine()}}, 0.5)
+		c.Run(1, 2)
+	}()
+	// A joined helper has called Done but may not have exited yet.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the run, %d after; a helper outlived its Run", before, after)
+	}
 }
 
 func TestShardLookaheadViolationPanics(t *testing.T) {
@@ -187,11 +218,12 @@ type countNode struct {
 	eng *sim.Engine
 }
 
-func (cn *countNode) Advance(until float64, inbox []Msg, out *Outbox) {
+func (cn *countNode) Advance(until float64, inbox []Msg, out *Outbox) int64 {
 	for i := range inbox {
 		out.Send(1-cn.id, Msg{At: inbox[i].At + 0.75})
 	}
 	cn.eng.Run(until)
+	return int64(len(inbox))
 }
 
 // TestZeroAllocShardWindows proves the steady-state window loop — delivery,
@@ -231,5 +263,119 @@ func TestZeroAllocShardWindows(t *testing.T) {
 	}
 	if math.IsNaN(short) || math.IsNaN(long) {
 		t.Fatal("alloc measurement failed")
+	}
+}
+
+// TestShardWorkersBeyondGOMAXPROCS: at GOMAXPROCS=1 a multi-worker Run is
+// capped to the inline path, finishes, and matches the inline run.
+func TestShardWorkersBeyondGOMAXPROCS(t *testing.T) {
+	ref := runEcho(t, 7, 1)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if got := runEcho(t, 7, 4); strings.Join(got, "\n") != strings.Join(ref, "\n") {
+		t.Error("workers=4 at GOMAXPROCS=1 diverged from inline run")
+	}
+}
+
+// TestShardWorkersBeyondNodes: more workers than nodes are capped at the
+// node count; the run finishes and matches the inline run.
+func TestShardWorkersBeyondNodes(t *testing.T) {
+	ref := runEcho(t, 3, 1)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	if got := runEcho(t, 3, 8); strings.Join(got, "\n") != strings.Join(ref, "\n") {
+		t.Error("workers=8 over 3 nodes diverged from inline run")
+	}
+}
+
+// TestShardConcurrentCoordinators runs two parallel coordinators at once on
+// two procs, so their four workers oversubscribe the process and must park
+// rather than spin each other out. Both must finish and match the inline
+// run.
+func TestShardConcurrentCoordinators(t *testing.T) {
+	ref := strings.Join(runEcho(t, 7, 1), "\n")
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	var got [2]string
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = strings.Join(runEcho(t, 7, 2), "\n")
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != ref {
+			t.Errorf("concurrent run %d diverged from inline run", i)
+		}
+	}
+}
+
+// TestShardCounters: Windows and Routed count the same work at every worker
+// count, accumulate across Runs, and return to zero on Reset.
+func TestShardCounters(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, w := range []int{1, 2} {
+		a := &countNode{id: 0, eng: sim.NewEngine()}
+		b := &countNode{id: 1, eng: sim.NewEngine()}
+		c := NewCoordinator([]Node{a, b}, 0.5)
+		for i := 0; i < 4; i++ {
+			c.pending[0] = append(c.pending[0], Msg{At: 0.25 + float64(i)*0.01, Src: 1, Seq: int64(i)})
+		}
+		c.Run(10, w)
+		c.Run(20, w)
+		// Each Run restarts at window 1: 20 + 40 windows. Each seeded
+		// message is re-sent 0.75 s after every delivery, at 0.25 + 0.75k
+		// (plus its 0.01 stagger) for k = 0..26 by t = 20: 27 sends each.
+		if c.Windows() != 60 {
+			t.Errorf("workers=%d: Windows() = %d, want 60", w, c.Windows())
+		}
+		if c.Routed() != 4*27 {
+			t.Errorf("workers=%d: Routed() = %d, want %d", w, c.Routed(), 4*27)
+		}
+		c.Reset(0.5)
+		if c.Windows() != 0 || c.Routed() != 0 {
+			t.Errorf("workers=%d: after Reset Windows()=%d Routed()=%d, want 0", w, c.Windows(), c.Routed())
+		}
+	}
+}
+
+// TestZeroAllocShardParallelWindows bounds the parallel path's allocations
+// at a real worker count: testing.AllocsPerRun pins GOMAXPROCS to 1, which
+// caps Run to the inline path, so this counts mallocs around Runs at
+// GOMAXPROCS=2 instead. Spawning helpers is per Run; a 10x longer run may
+// not allocate meaningfully more.
+func TestZeroAllocShardParallelWindows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on synchronization paths")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	a := &countNode{id: 0, eng: sim.NewEngine()}
+	b := &countNode{id: 1, eng: sim.NewEngine()}
+	c := NewCoordinator([]Node{a, b}, 0.5)
+	for i := 0; i < 16; i++ {
+		c.pending[0] = append(c.pending[0], Msg{At: 0.25 + float64(i)*0.01, Src: 1, Seq: int64(i)})
+	}
+	horizon := 50.0
+	c.Run(horizon, 2) // warm every buffer
+	measure := func(span float64) uint64 {
+		best := ^uint64(0)
+		for rep := 0; rep < 5; rep++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			horizon += span
+			c.Run(horizon, 2)
+			runtime.ReadMemStats(&m1)
+			best = min(best, m1.Mallocs-m0.Mallocs)
+		}
+		return best
+	}
+	short, long := measure(10), measure(100)
+	if long > short+8 {
+		t.Errorf("parallel window loop allocates per window: short-run=%d long-run=%d mallocs", short, long)
 	}
 }

@@ -34,8 +34,9 @@ run() { # run <package> <bench regexp> [benchtime]
 
 # Convert benchmark lines to JSON: the name, iterations, and each of the
 # `<value> <unit>` pairs we track (ns/op, B/op, allocs/op, the sim kernel
-# benchmarks' exact events fired per op, and the campaign benchmarks'
-# scenario count, so readers can price campaigns per scenario).
+# benchmarks' exact events fired per op, the sharded benchmark's exact
+# windows and routed messages per op, and the campaign benchmarks' scenario
+# count, so readers can price campaigns per scenario).
 {
     printf '{\n'
     printf '  "git": "%s",\n' "$(git describe --always --dirty --abbrev=40 2>/dev/null || echo unknown)"
@@ -48,18 +49,23 @@ run() { # run <package> <bench regexp> [benchtime]
             sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
             iters = $2
             ns = "null"; bytes = "null"; allocs = "null"; scenarios = "null"; events = "null"
+            windows = "null"; msgs = "null"
             for (i = 3; i < NF; i++) {
                 if ($(i+1) == "ns/op") ns = $i
                 else if ($(i+1) == "B/op") bytes = $i
                 else if ($(i+1) == "allocs/op") allocs = $i
                 else if ($(i+1) == "scenarios") scenarios = $i
                 else if ($(i+1) == "events/op") events = $i
+                else if ($(i+1) == "windows/op") windows = $i
+                else if ($(i+1) == "msgs/op") msgs = $i
             }
             if (n++) printf ",\n"
             printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
                 name, iters, ns, bytes, allocs
             if (scenarios != "null") printf ", \"scenarios\": %s", scenarios
             if (events != "null") printf ", \"events_per_op\": %s", events
+            if (windows != "null") printf ", \"windows_per_op\": %s", windows
+            if (msgs != "null") printf ", \"msgs_per_op\": %s", msgs
             printf "}"
         }
         END { if (n) printf "\n" }
