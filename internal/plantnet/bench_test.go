@@ -82,14 +82,9 @@ func shardedScaleOpts(shards int, seed int64) RunOptions {
 // drift (the coordinator still caps its workers at the CPU count). The
 // sharded subbench also reports the coordinator's exact windows/op and
 // msgs/op, which do not depend on speed: 751 and 24,287 over seeds 1-3.
-// What is recorded: six alternating 3-iteration runs per kernel on a noisy
-// 2-vCPU host read shards=1 243 ms/op (quartiles 233-258) and shards=4
-// 196 ms/op (185-204); the same runs with the earlier channel-handoff
-// barrier, inline routing and index-order claims read 217 (211-229) and
-// 237 (228-240). Each subbench builds a fresh Runner, so the first of every
-// three iterations also pays the sharded set-up; timed without it at
-// GOMAXPROCS=2 (ten alternating rounds of twelve runs, seed 1), the same
-// workload takes a median 208 ms sequential and 123 ms sharded.
+// What is recorded, set-up excluded: eight alternating 3-iteration runs per
+// kernel on a noisy 2-vCPU host read shards=1 136 ms/op (quartiles 126-147)
+// and shards=4 113 ms/op (110-115).
 func BenchmarkShardedScale(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -104,6 +99,11 @@ func BenchmarkShardedScale(b *testing.B) {
 			// every iteration would re-derive the per-domain models and
 			// measure setup, not simulation.
 			opts := shardedScaleOpts(bc.shards, 1)
+			// One untimed run builds the Runner's engines, links and
+			// request nodes, so the timed iterations measure simulation.
+			if _, err := rn.Run(opts); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var windows, msgs int64

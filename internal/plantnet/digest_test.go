@@ -112,3 +112,47 @@ func TestMetricsDigestPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestDigestCasesConserveClients is a closed-loop conservation oracle over
+// the digest configurations: every client owns exactly one logical request
+// at all times, so at the horizon the live primary nodes (pri == nil and
+// not on the freelist) of the engines that own clients, plus the parked
+// clients, must equal Clients — and no node may sit on a freelist twice. A
+// node recycled twice or while still in flight, or a client lost or issued
+// a second request, breaks one of the two.
+func TestDigestCasesConserveClients(t *testing.T) {
+	for _, c := range digestCases() {
+		if c.opts.Clients < 1 || c.opts.OpenLoopRate > 0 || c.opts.Arrivals != nil {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRunner()
+			if _, err := r.Run(c.opts); err != nil {
+				t.Fatal(err)
+			}
+			owners := []*engine{r.e}
+			if c.opts.Shards >= 2 {
+				owners = r.sh.domains
+			}
+			live := 0
+			for i, e := range owners {
+				free := make(map[*request]bool, len(e.freeReqs))
+				for _, req := range e.freeReqs {
+					if free[req] {
+						t.Fatalf("engine %d: a node is on the freelist twice", i)
+					}
+					free[req] = true
+				}
+				for _, req := range e.allReqs {
+					if req.pri == nil && !free[req] {
+						live++
+					}
+				}
+				live += e.parked
+			}
+			if live != c.opts.Clients {
+				t.Errorf("live primaries + parked = %d, want Clients = %d", live, c.opts.Clients)
+			}
+		})
+	}
+}

@@ -253,12 +253,13 @@ type RequestTrace struct {
 
 // request tracks one identification query through the Table I pipeline.
 // Nodes are owned by the engine's freelist and recycled after each
-// completion, and every stage continuation is bound once per node (the
-// closures read req.rep, which is reassigned on reuse) — so the steady-state
-// request pipeline performs zero heap allocations: no request, no closure,
-// no event, no sharedJob, and (in simulated network mode) no transfer.
+// completion. A pipeline stage is data: next holds the pending stage as a
+// method expression such as (*engine).dlDone, a static func value, and
+// step, bound once per node, runs it. Every hand-off passes the same step
+// to the kernel (see then), so the steady-state request pipeline performs
+// zero heap allocations: no request, no closure, no event, no sharedJob,
+// and (in simulated network mode) no transfer.
 type request struct {
-	e         *engine
 	rep       *replica
 	path      *gatewayPath // simulated network mode only
 	hop       int          // next link index on the current direction
@@ -300,160 +301,20 @@ type request struct {
 	shTok int64
 	shSrc int32
 
-	// Stage continuations, in pipeline order (bound once in bind).
-	arrive, httpGranted, preDone, dlGranted, dlDone,
-	exGranted, exDone, procDone, ssGranted, ssCPUDone,
-	ssIODone, postDone, finish func()
-	// Simulated-network continuations: next uplink hop, response-path
-	// start, next downlink hop.
-	netUp, netResp, netDown func()
-	// Resilience continuations: retry redispatch and hedge launch
-	// (bound once in bind, scheduled by the policy hooks).
-	retryFn, hedgeFn func()
+	// Continuations, bound once in newRequestNode. A node has at most one
+	// pipeline stage pending, next, which step runs. The hedge-launch
+	// timer is the one continuation that is pending alongside the
+	// pipeline, so hedgeFn is a closure of its own.
+	next    func(*engine, *request)
+	step    func()
+	hedgeFn func()
 }
 
-// bind builds the stage continuations. Each samples its service time at the
-// same program point the pre-pooling pipeline did, so RNG consumption — and
-// therefore every fixed-seed output — is bit-identical.
-func (req *request) bind() {
-	e := req.e
-	req.httpGranted = func() {
-		if e.resOn && e.grantGuard(req) {
-			return
-		}
-		e.preProcess(req)
-	}
-	req.arrive = func() {
-		if e.resOn && e.arriveGuard(req) {
-			return
-		}
-		if e.faultsOn && !e.admit(req) {
-			return
-		}
-		req.taskStart = e.sim.Now()
-		req.rep.http.Request(req.httpGranted)
-	}
-	req.retryFn = func() { e.redispatch(req) }
-	req.hedgeFn = func() { e.launchHedge(req) }
-	req.dlGranted = func() { e.download(req) }
-	req.preDone = func() {
-		e.rec(req, 0) // pre-process
-		req.rep.dl.Request(req.dlGranted)
-	}
-	req.exGranted = func() { e.extract(req) }
-	req.dlDone = func() {
-		req.rep.cpu.RemoveHold(e.cal.DownloadCPUWeight)
-		req.rep.dl.Release()
-		e.rec(req, 2) // download
-		req.rep.ex.Request(req.exGranted)
-	}
-	req.procDone = func() {
-		e.rec(req, 5) // process
-		req.rep.ss.Request(req.ssGranted)
-	}
-	req.exDone = func() {
-		req.rep.ex.Release()
-		e.rec(req, 4) // extract
-		req.rep.cpu.Add(e.cal.ProcessWork.Sample(e.rng), req.procDone)
-	}
-	req.ssGranted = func() { e.simsearch(req) }
-	req.ssIODone = func() {
-		req.rep.ss.Release()
-		e.rec(req, 7) // simsearch
-		req.rep.cpu.Add(e.cal.PostProcessWork.Sample(e.rng), req.postDone)
-	}
-	req.ssCPUDone = func() {
-		req.timer = e.sim.Schedule(e.cal.SimsearchIOTime.Sample(e.rng), req.ssIODone)
-	}
-	req.postDone = func() {
-		e.rec(req, 8) // post-process
-		if e.faultsOn {
-			e.untrack(req) // the response has left the replica
-		}
-		req.rep.http.Release()
-		e.complete(req)
-	}
-	req.finish = func() {
-		if e.resOn {
-			e.finishResilient(req)
-			return
-		}
-		e.recordCompletion(req.start, e.sim.Now()-req.start, &req.tasks)
-		// Recycle before resubmitting so a closed-loop client reuses its
-		// own node immediately.
-		e.freeReqs = append(e.freeReqs, req)
-		if !e.openLoop {
-			e.submit()
-		}
-	}
-}
-
-// bindNet builds the network-stage continuations. They are bound lazily —
-// on a node's first simulated-network use, not in bind — so analytical
-// runs pay nothing for them; once bound they survive recycling and runner
-// reuse like every other stage closure. Kept out of line so its cold-path
-// closure allocations are not re-attributed to the //simlint:noalloc
-// submission paths that call it.
-//
-//go:noinline
-func (req *request) bindNet() {
-	e := req.e
-	req.netUp = func() {
-		if e.resOn {
-			if e.netUpGuard(req) {
-				return
-			}
-		} else if e.faultsOn && e.gwDown[req.gw] {
-			e.failGateway(req)
-			return
-		}
-		if req.hop < len(req.path.up) {
-			l := req.path.up[req.hop]
-			req.hop++
-			l.Transfer(e.net.upBytes, req.netUp)
-			return
-		}
-		if e.shRole != shNone {
-			// Sharded: the client->replica half-RTT is carried by the
-			// cross-shard crossing, not a local schedule. A domain engine
-			// finished its own uplink and hands the arm to the core; the
-			// core engine finished the backhaul and the request arrives.
-			if e.shRole == shDomain {
-				e.domainCrossUp(req)
-			} else {
-				req.arrive()
-			}
-			return
-		}
-		e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
-	}
-	req.netDown = func() {
-		if e.resOn {
-			if e.netDownGuard(req) {
-				return
-			}
-		} else if e.faultsOn && e.gwDown[req.gw] {
-			e.failGateway(req)
-			return
-		}
-		if req.hop < len(req.path.down) {
-			l := req.path.down[req.hop]
-			req.hop++
-			l.Transfer(e.net.downBytes, req.netDown)
-			return
-		}
-		if e.shRole == shCore {
-			// The response leaves the core: cross back to the owning
-			// domain, which walks its own downlink and finishes.
-			e.coreCrossDown(req)
-			return
-		}
-		req.finish()
-	}
-	req.netResp = func() {
-		req.hop = 0
-		req.netDown()
-	}
+// then makes stage the node's pending continuation and returns the bound
+// step that runs it, for the kernel call that schedules the hand-off.
+func (req *request) then(stage func(*engine, *request)) func() {
+	req.next = stage
+	return req.step
 }
 
 // replica is one engine instance on one node: its own pools, CPU and GPU.
@@ -473,8 +334,8 @@ type replica struct {
 // engine wires the replicas and runs the pipeline. One engine is reused
 // across the runs of a Runner: everything per-run is reset in
 // Runner.prepare, while the simulation arena, resource freelists, request
-// nodes (with their bound closures), RNGs, the response reservoir and the
-// sampler rows survive — which is what cuts the per-run setup allocations.
+// nodes (with their bound step and hedge continuations), RNGs, the response
+// reservoir and the sampler rows survive — which is what cuts the per-run setup allocations.
 // A run's Metrics come from mergeMetrics over the engine's rows: the
 // sequential kernel merges its one engine, the sharded kernel its core and
 // domain engines.
@@ -584,21 +445,21 @@ type engine struct {
 	respRes    *stats.Reservoir // per-request response times, post-warmup
 	qScratch   []float64        // reused quantile output buffer (see Reservoir.Quantiles)
 	taskAgg    [9]stats.Welford
-	freeReqs   []*request // recycled request nodes (closures pre-bound)
+	freeReqs   []*request // recycled request nodes (continuations pre-bound)
 	allReqs    []*request // every node ever built, to refill freeReqs on reset
 }
 
-// newRequest takes a node from the freelist (or builds and binds a fresh
-// one) and points it at rep.
+// newRequest takes a node from the freelist (or builds a fresh one) and
+// points it at rep.
+//
+//simlint:noalloc steady-state requests pop recycled nodes; the cold branch is the refill point
 func (e *engine) newRequest(rep *replica) *request {
 	var req *request
 	if n := len(e.freeReqs); n > 0 {
 		req = e.freeReqs[n-1]
 		e.freeReqs = e.freeReqs[:n-1]
 	} else {
-		req = &request{e: e}
-		req.bind()
-		e.allReqs = append(e.allReqs, req)
+		req = e.newRequestNode() //simlint:allow noallocclosure newRequestNode is the //go:noinline freelist refill; steady state pops recycled nodes above
 	}
 	req.rep = rep
 	req.start = e.sim.Now()
@@ -608,6 +469,19 @@ func (e *engine) newRequest(rep *replica) *request {
 	if e.resOn {
 		e.initArm(req)
 	}
+	return req
+}
+
+// newRequestNode is the freelist refill: a node with its step and hedge
+// continuations bound once. Kept out of line so newRequest's steady state
+// stays provably allocation-free.
+//
+//go:noinline
+func (e *engine) newRequestNode() *request {
+	req := &request{}
+	req.step = func() { req.next(e, req) }
+	req.hedgeFn = func() { e.launchHedge(req) }
+	e.allReqs = append(e.allReqs, req)
 	return req
 }
 
@@ -1055,7 +929,7 @@ func mergeMetrics(opts RunOptions, engines []*engine) *Metrics {
 // circuit breakers are skipped, and arms are deadline/hedge-armed (see
 // submitManaged).
 //
-//simlint:noalloc steady-state submission reuses freelist nodes and pre-bound closures
+//simlint:noalloc steady-state submission reuses freelist nodes and their bound step
 func (e *engine) submit() {
 	if e.shRole == shDomain {
 		e.submitDomain()
@@ -1067,20 +941,17 @@ func (e *engine) submit() {
 	}
 	rep := e.reps[e.next%len(e.reps)]
 	e.next++
-	req := e.newRequest(rep) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+	req := e.newRequest(rep)
 	if e.net != nil {
 		// Device -> engine: gateway uplink, then the shared backhaul.
-		if req.netUp == nil {
-			req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-		}
 		req.path = &e.net.paths[e.nextGw%len(e.net.paths)]
 		e.nextGw++
 		req.hop = 0
-		req.netUp()
+		e.netUp(req)
 		return
 	}
 	// Client -> engine network half-RTT.
-	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
+	e.sim.Schedule(e.cal.NetworkRTT/2, req.then((*engine).arrive))
 }
 
 // recordCompletion is the completion accounting both finish paths share:
@@ -1110,44 +981,181 @@ func (e *engine) rec(req *request, idx int) {
 }
 
 // The pipeline below follows Table I exactly; each stage records its
-// duration then chains to the next.
+// duration then hands the node to the next. Each samples its service time
+// at a fixed program point: moving a draw changes RNG consumption, and with
+// it every fixed-seed output.
 
-func (e *engine) preProcess(req *request) {
+// arrive admits a request at its replica and queues it for an HTTP slot.
+//
+//simlint:noalloc request arrival (request hot path)
+func (e *engine) arrive(req *request) {
+	if e.resOn && e.arriveGuard(req) {
+		return
+	}
+	if e.faultsOn && !e.admit(req) {
+		return
+	}
+	req.taskStart = e.sim.Now()
+	req.rep.http.Request(req.then((*engine).httpGranted))
+}
+
+func (e *engine) httpGranted(req *request) {
+	if e.resOn && e.grantGuard(req) {
+		return
+	}
 	// HTTP slot acquired; queueing before this point is part of the user
 	// response time but not a Table I step.
 	req.taskStart = e.sim.Now()
-	req.rep.cpu.Add(e.cal.PreProcessWork.Sample(e.rng), req.preDone)
+	req.rep.cpu.Add(e.cal.PreProcessWork.Sample(e.rng), req.then((*engine).preDone))
+}
+
+func (e *engine) preDone(req *request) {
+	e.rec(req, 0) // pre-process
+	req.rep.dl.Request(req.then((*engine).download))
 }
 
 func (e *engine) download(req *request) {
 	e.rec(req, 1) // wait-download
 	req.rep.cpu.AddHold(e.cal.DownloadCPUWeight)
-	req.timer = e.sim.Schedule(e.cal.DownloadTime.Sample(e.rng), req.dlDone)
+	req.timer = e.sim.Schedule(e.cal.DownloadTime.Sample(e.rng), req.then((*engine).dlDone))
+}
+
+func (e *engine) dlDone(req *request) {
+	req.rep.cpu.RemoveHold(e.cal.DownloadCPUWeight)
+	req.rep.dl.Release()
+	e.rec(req, 2) // download
+	req.rep.ex.Request(req.then((*engine).extract))
 }
 
 func (e *engine) extract(req *request) {
 	e.rec(req, 3) // wait-extract
-	req.rep.gpu.Add(e.cal.ExtractWork.Sample(e.rng), req.exDone)
+	req.rep.gpu.Add(e.cal.ExtractWork.Sample(e.rng), req.then((*engine).exDone))
+}
+
+func (e *engine) exDone(req *request) {
+	req.rep.ex.Release()
+	e.rec(req, 4) // extract
+	req.rep.cpu.Add(e.cal.ProcessWork.Sample(e.rng), req.then((*engine).procDone))
+}
+
+func (e *engine) procDone(req *request) {
+	e.rec(req, 5) // process
+	req.rep.ss.Request(req.then((*engine).simsearch))
 }
 
 func (e *engine) simsearch(req *request) {
 	e.rec(req, 6) // wait-simsearch
-	req.rep.cpu.Add(e.cal.SimsearchCPUWork.Sample(e.rng), req.ssCPUDone)
+	req.rep.cpu.Add(e.cal.SimsearchCPUWork.Sample(e.rng), req.then((*engine).ssCPUDone))
 }
 
-func (e *engine) complete(req *request) {
+func (e *engine) ssCPUDone(req *request) {
+	req.timer = e.sim.Schedule(e.cal.SimsearchIOTime.Sample(e.rng), req.then((*engine).ssIODone))
+}
+
+func (e *engine) ssIODone(req *request) {
+	req.rep.ss.Release()
+	e.rec(req, 7) // simsearch
+	req.rep.cpu.Add(e.cal.PostProcessWork.Sample(e.rng), req.then((*engine).postDone))
+}
+
+func (e *engine) postDone(req *request) {
+	e.rec(req, 8) // post-process
+	if e.faultsOn {
+		e.untrack(req) // the response has left the replica
+	}
+	req.rep.http.Release()
 	// Engine -> client network half-RTT, then (in simulated network mode)
 	// the response path hop by hop; the client sees the response and
 	// immediately issues the next request.
-	if e.net != nil {
-		if e.shRole == shCore {
-			// Sharded: the engine->client half-RTT is paid by the
-			// core->domain crossing at the end of the backhaul walk.
-			req.netResp()
-			return
-		}
-		e.sim.Schedule(e.cal.NetworkRTT/2, req.netResp)
+	if e.net == nil {
+		e.sim.Schedule(e.cal.NetworkRTT/2, req.then((*engine).finish))
 		return
 	}
-	e.sim.Schedule(e.cal.NetworkRTT/2, req.finish)
+	req.hop = 0
+	if e.shRole == shCore {
+		// Sharded: the engine->client half-RTT is paid by the
+		// core->domain crossing at the end of the backhaul walk.
+		e.netDown(req)
+		return
+	}
+	e.sim.Schedule(e.cal.NetworkRTT/2, req.then((*engine).netDown))
+}
+
+// finish completes a request at its client.
+//
+//simlint:noalloc request completion (request hot path)
+func (e *engine) finish(req *request) {
+	if e.resOn {
+		e.finishResilient(req)
+		return
+	}
+	e.recordCompletion(req.start, e.sim.Now()-req.start, &req.tasks)
+	// Recycle before resubmitting so a closed-loop client reuses its own
+	// node immediately.
+	e.freeReqs = append(e.freeReqs, req)
+	if !e.openLoop {
+		e.submit()
+	}
+}
+
+// netUp walks the request's next uplink hop, or, past the last one, hands
+// it on toward its replica.
+//
+//simlint:noalloc uplink hop (request hot path)
+func (e *engine) netUp(req *request) {
+	if e.resOn {
+		if e.netUpGuard(req) {
+			return
+		}
+	} else if e.faultsOn && e.gwDown[req.gw] {
+		e.failGateway(req)
+		return
+	}
+	if req.hop < len(req.path.up) {
+		l := req.path.up[req.hop]
+		req.hop++
+		l.Transfer(e.net.upBytes, req.then((*engine).netUp))
+		return
+	}
+	if e.shRole != shNone {
+		// Sharded: the client->replica half-RTT is carried by the
+		// cross-shard crossing, not a local schedule. A domain engine
+		// finished its own uplink and hands the arm to the core; the core
+		// engine finished the backhaul and the request arrives.
+		if e.shRole == shDomain {
+			e.domainCrossUp(req)
+		} else {
+			e.arrive(req)
+		}
+		return
+	}
+	e.sim.Schedule(e.cal.NetworkRTT/2, req.then((*engine).arrive))
+}
+
+// netDown walks the response's next downlink hop, or, past the last one,
+// finishes it at its client.
+//
+//simlint:noalloc downlink hop (request hot path)
+func (e *engine) netDown(req *request) {
+	if e.resOn {
+		if e.netDownGuard(req) {
+			return
+		}
+	} else if e.faultsOn && e.gwDown[req.gw] {
+		e.failGateway(req)
+		return
+	}
+	if req.hop < len(req.path.down) {
+		l := req.path.down[req.hop]
+		req.hop++
+		l.Transfer(e.net.downBytes, req.then((*engine).netDown))
+		return
+	}
+	if e.shRole == shCore {
+		// The response leaves the core: cross back to the owning domain,
+		// which walks its own downlink and finishes.
+		e.coreCrossDown(req)
+		return
+	}
+	e.finish(req)
 }

@@ -256,7 +256,7 @@ func (e *engine) crashReplica(ri int, meanDelay float64) {
 		e.cCrashReq++
 		req.tasks = [9]float64{}
 		e.reassign(req)
-		e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.arrive)
+		e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.then((*engine).arrive))
 	}
 	rep.inflight = rep.inflight[:0]
 }
@@ -420,26 +420,23 @@ func (e *engine) submitManaged() {
 			return
 		}
 		g := e.pickGateway()
-		req := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+		req := e.newRequest(e.reps[idx])
 		req.repIdx = int32(idx)
-		if req.netUp == nil {
-			req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-		}
 		req.path = &e.net.paths[g]
 		req.gw = int32(g)
 		req.hop = 0
 		if e.resOn {
 			e.armRequest(req)
 		}
-		req.netUp()
+		e.netUp(req)
 		return
 	}
-	req := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+	req := e.newRequest(e.reps[idx])
 	req.repIdx = int32(idx)
 	if e.resOn {
 		e.armRequest(req)
 	}
-	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
+	e.sim.Schedule(e.cal.NetworkRTT/2, req.then((*engine).arrive))
 }
 
 // pickReplica advances the replica round-robin, skipping crashed

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"e2clab/internal/fault"
 	"e2clab/internal/rngutil"
@@ -172,4 +173,22 @@ func TestZeroAllocWarmRunRepeated(t *testing.T) {
 		t.Errorf("warm RunRepeated: %v allocs/call, want <= %d", got, warmRunRepeatedAllocs)
 	}
 	t.Logf("warm RunRepeated: %v allocs/call", got)
+}
+
+// TestRequestNodeAllocs pins the cost of one request node: the node and its
+// two bound continuations (step and hedgeFn) — every pipeline stage is a
+// static method expression and binds nothing — and the node's size on
+// 64-bit platforms.
+func TestRequestNodeAllocs(t *testing.T) {
+	e := &engine{}
+	e.allReqs = make([]*request, 0, 1000)
+	got := testing.AllocsPerRun(100, func() { e.newRequestNode() })
+	if got > 3 {
+		t.Errorf("newRequestNode: %v allocs/node, want <= 3", got)
+	}
+	size := unsafe.Sizeof(request{})
+	if unsafe.Sizeof(uintptr(0)) == 8 && size > 248 {
+		t.Errorf("sizeof(request) = %d B, want <= 248", size)
+	}
+	t.Logf("newRequestNode: %v allocs/node; sizeof(request) = %d B", got, size)
 }

@@ -33,8 +33,8 @@ type Repeated struct {
 // Each worker carries one warm Runner across its runs, borrowed from the
 // package's idle list (see borrowRunner), so the per-run setup —
 // simulation arena, replicas, pools, reservoir, request nodes and their
-// bound stage closures — is paid once per Runner, not once per repeat or
-// per call. A Runner's reset is bit-complete, so the pooled execution is
+// bound step and hedge continuations — is paid once per Runner, not once
+// per repeat or per call. A Runner's reset is bit-complete, so the pooled execution is
 // byte-identical to running every repeat on a fresh engine (enforced by
 // the golden, repeat-determinism and idle-reuse tests).
 func RunRepeated(opts RunOptions, repeats int) (*Repeated, error) {

@@ -1,13 +1,13 @@
 package plantnet
 
 // Resilience policies: RunOptions.Resilience compiles at setup into the
-// flattened engine fields and the pre-bound retry/hedge continuations on
-// each request node — no steady-state closures, no allocations on the
-// retry/hedge/reroute paths. A node is one ARM (an attempt in flight);
-// the logical request is its primary arm, which a hedge arm points back
-// to via pri. Arms are checked against the policy at the pipeline
-// checkpoints (arrival, HTTP grant, uplink/downlink hops, completion);
-// between checkpoints they run the exact unpolicied pipeline.
+// flattened engine fields, the redispatch stage and the pre-bound hedge
+// continuation of each request node — no steady-state closures, no
+// allocations on the retry/hedge/reroute paths. A node is one ARM (an
+// attempt in flight); the logical request is its primary arm, which a
+// hedge arm points back to via pri. Arms are checked against the policy
+// at the pipeline checkpoints (arrival, HTTP grant, uplink/downlink hops,
+// completion); between checkpoints they run the exact unpolicied pipeline.
 //
 // Determinism: every policy draw (retry jitter) comes from the request's
 // own SplitMix64 substream derived arithmetically from (Seed, serial) —
@@ -245,7 +245,7 @@ func (e *engine) netUpGuard(req *request) bool {
 	}
 	if e.faultsOn && e.gwDown[req.gw] {
 		if e.resFailover && e.rerouteGateway(req) {
-			req.netUp()
+			e.netUp(req)
 			return true
 		}
 		e.cGatewayFail++
@@ -268,7 +268,7 @@ func (e *engine) netDownGuard(req *request) bool {
 	}
 	if e.faultsOn && e.gwDown[req.gw] {
 		if e.resFailover && e.rerouteGateway(req) {
-			req.netDown()
+			e.netDown(req)
 			return true
 		}
 		e.cGatewayFail++
@@ -326,7 +326,7 @@ func (e *engine) failLogical(p *request) {
 		e.cRetries++
 		d := resilience.NextBackoff(&p.rstate, e.resRetryBase, e.resRetryCap, p.prevDelay)
 		p.prevDelay = d
-		e.sim.Schedule(d, p.retryFn)
+		e.sim.Schedule(d, p.then((*engine).redispatch))
 		return
 	}
 	e.cFailed++
@@ -366,17 +366,14 @@ func (e *engine) redispatch(p *request) {
 func (e *engine) dispatchArm(req *request) {
 	e.armRequest(req)
 	if e.net != nil {
-		if req.netUp == nil {
-			req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-		}
 		g := e.pickGateway()
 		req.path = &e.net.paths[g]
 		req.gw = int32(g)
 		req.hop = 0
-		req.netUp()
+		e.netUp(req)
 		return
 	}
-	e.sim.Schedule(e.cal.NetworkRTT/2, req.arrive)
+	e.sim.Schedule(e.cal.NetworkRTT/2, req.then((*engine).arrive))
 }
 
 // launchHedge fires when a primary arm's hedge timer expires: if the
@@ -398,7 +395,7 @@ func (e *engine) launchHedge(p *request) {
 		// The replica is picked by the core at crossing arrival; the hedge
 		// message carries the primary's token so the core can prefer a
 		// different replica than the primary's.
-		h := e.newRequest(nil) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+		h := e.newRequest(nil)
 		h.repIdx = -1
 		h.pri = p
 		p.arms = 2
@@ -407,7 +404,7 @@ func (e *engine) launchHedge(p *request) {
 		return
 	}
 	idx := e.pickReplicaNot(int(p.repIdx))
-	h := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+	h := e.newRequest(e.reps[idx])
 	h.repIdx = int32(idx)
 	h.pri = p
 	p.arms = 2
@@ -484,7 +481,7 @@ func (e *engine) crashArm(req *request, alive bool, meanDelay float64) {
 	e.cCrashReq++
 	req.tasks = [9]float64{}
 	e.reassign(req)
-	e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.arrive)
+	e.sim.Schedule(e.faultRng.ExpFloat64()*meanDelay, req.then((*engine).arrive))
 }
 
 // brkSkip reports whether the routing round-robin should pass over

@@ -69,7 +69,7 @@ type shSlot struct {
 }
 
 // shSlotGet pops a free slot or builds one (the sanctioned cold-path
-// allocation, mirroring newRequest's freelist refill).
+// allocation, mirroring newRequestNode's freelist refill).
 //
 //simlint:noalloc steady-state delivery reuses pooled slots; the cold branch is the refill point
 func (e *engine) shSlotGet() *shSlot {
@@ -211,7 +211,7 @@ func (e *engine) domainResolve(m *shard.Msg) {
 	if m.Kind == msgDone {
 		req.tasks = m.Vec
 		req.hop = 0
-		req.netDown()
+		e.netDown(req)
 		return
 	}
 	// msgFail: the attempt died on the core side (deadline, shed, crash
@@ -249,14 +249,11 @@ func (e *engine) coreArrive(m *shard.Msg) {
 	if idx < 0 {
 		idx = e.pickReplica()
 	}
-	req := e.newRequest(e.reps[idx]) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+	req := e.newRequest(e.reps[idx])
 	req.repIdx = int32(idx)
 	req.shSrc = m.Src
 	req.shTok = m.Token
 	e.setTokRep(m.Src, m.Token, int32(idx))
-	if req.netUp == nil {
-		req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-	}
 	req.gw = m.Ref
 	req.path = &e.net.paths[m.Ref]
 	req.hop = 0
@@ -265,7 +262,7 @@ func (e *engine) coreArrive(m *shard.Msg) {
 		// (same virtual clock on both shards).
 		req.deadline = m.F0
 	}
-	req.netUp()
+	e.netUp(req)
 }
 
 // coreCrossDown sends a completed arm's response back to its domain; the
@@ -320,18 +317,15 @@ func (e *engine) submitDomain() {
 		}
 	}
 	g := e.pickGateway()
-	req := e.newRequest(nil) //simlint:allow noallocclosure newRequest is the freelist refill point; its cold-branch build is the sanctioned allocation site
+	req := e.newRequest(nil)
 	req.repIdx = -1
-	if req.netUp == nil {
-		req.bindNet() //simlint:allow noallocclosure bindNet is the //go:noinline lazy closure-build cold path
-	}
 	req.path = &e.net.paths[g]
 	req.gw = int32(g)
 	req.hop = 0
 	if e.resOn {
 		e.armRequest(req)
 	}
-	req.netUp()
+	e.netUp(req)
 }
 
 // mirrorReplica tracks global replica liveness on a domain shard (the

@@ -85,7 +85,9 @@ gate chaos-race go test -race -count=1 -run 'Fault|Chaos|Resilien|Availability|F
     ./internal/plantnet/ ./internal/scenario/
 # Allocation-regression gate: -count=1 forces a real (uncached) run. The
 # sharded coordinator's steady-state window loop carries the same contract
-# (TestZeroAllocShardWindows), and a warm package-level plantnet.RunRepeated
-# stays under a stated per-call bound (TestZeroAllocWarmRunRepeated).
-gate zero-alloc go test -run 'TestZeroAlloc' -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/plantnet/
+# (TestZeroAllocShardWindows), a warm package-level plantnet.RunRepeated
+# stays under a stated per-call bound (TestZeroAllocWarmRunRepeated), and a
+# request node costs at most three allocations and 248 bytes
+# (TestRequestNodeAllocs).
+gate zero-alloc go test -run 'TestZeroAlloc|TestRequestNodeAllocs' -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/plantnet/
 echo "verify OK"
